@@ -71,7 +71,9 @@ def _measure_single(n_nodes: int, rounds: int, brute: bool,
             spatial_index="brute", link_pool=False, reuse_head_stack=False
         )
     best = float("inf")
-    events = 0
+    # The vector engine processes no events (its events_processed counts
+    # coherence steps), so its rows record none.
+    events = None
     if backend == "vector":
         from repro.api import RunOptions, simulate
 
@@ -85,9 +87,8 @@ def _measure_single(n_nodes: int, rounds: int, brute: bool,
         )
         for _ in range(rounds):
             t0 = time.perf_counter()
-            result = simulate(cfg, opts)
+            simulate(cfg, opts)
             elapsed = time.perf_counter() - t0
-            events = result.events_processed
             if elapsed < best:
                 best = elapsed
     else:
@@ -159,6 +160,13 @@ def _measure_subprocess(n_nodes: int, rounds: int, brute: bool,
     if peak_kb > 0:
         result["peak_rss_kb"] = peak_kb
     return result
+
+
+def _event_columns(r: dict) -> str:
+    """The ``events`` and ``kev/s`` cells of one row (``—`` when none)."""
+    if r["events"] is None:
+        return f"{'—':>9} {'—':>7}"
+    return f"{r['events']:>9} {r['events'] / r['seconds'] / 1e3:>7.1f}"
 
 
 def _load_baseline(path: Path) -> dict:
@@ -262,16 +270,14 @@ def main(argv=None) -> int:
             base_s = f"{base['seconds']:.3f}s" if base else "—"
             speed = f"{base['seconds'] / r['seconds']:.2f}x" if base else "—"
             print(f"{backend:>7} {n:>6} {r['seconds']:>8.3f}s "
-                  f"{r['events']:>9} "
-                  f"{r['events'] / r['seconds'] / 1e3:>7.1f} "
+                  f"{_event_columns(r)} "
                   f"{r['peak_rss_kb'] / 1024:>7.1f} {base_s:>9} {speed:>8}")
         if args.with_brute:
             b = _measure_subprocess(n, args.rounds, brute=True,
                                     backend="event")
             brute_results.append(b)
             print(f"{'event':>7} {n:>6} {b['seconds']:>8.3f}s "
-                  f"{b['events']:>9} "
-                  f"{b['events'] / b['seconds'] / 1e3:>7.1f} "
+                  f"{_event_columns(b)} "
                   f"{b['peak_rss_kb'] / 1024:>7.1f} "
                   f"{'(brute/no-pool)':>18}")
 

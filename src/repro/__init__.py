@@ -21,6 +21,7 @@ See ``examples/`` for richer scenarios and ``repro.experiments`` for the
 paper's figures.
 """
 
+from ._lazy import lazy_exports
 from .config import (
     ChannelConfig,
     EnergyConfig,
@@ -33,8 +34,6 @@ from .config import (
     ToneConfig,
     TrafficConfig,
 )
-from .network import NetworkStats, SensorNetwork
-from .sim import Simulator
 
 __version__ = "1.0.0"
 
@@ -54,3 +53,14 @@ __all__ = [
     "Simulator",
     "__version__",
 ]
+
+#: Resolved on first access, so that importing the package (every CLI
+#: call does) does not load the event kernel.
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "SensorNetwork": ".network",
+        "NetworkStats": ".network",
+        "Simulator": ".sim",
+    },
+)

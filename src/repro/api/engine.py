@@ -12,9 +12,10 @@ at any parallelism, in any execution order.
 
 from __future__ import annotations
 
+import importlib
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -23,10 +24,12 @@ from ..errors import ExperimentError
 from ..metrics import TimeSeriesCollector
 from ..metrics.collectors import validate_max_samples
 from ..metrics.lifetime import death_spread_s, first_death_s, network_lifetime_s
-from ..network import SensorNetwork
 from .result import RunResult
 
-__all__ = ["RunOptions", "simulate"]
+__all__ = ["RunOptions", "import_engines", "simulate"]
+
+#: The module each concrete backend's engine lives in.
+_ENGINE_MODULES = {"event": "repro.network", "vector": "repro.vector.engine"}
 
 
 @dataclass(frozen=True)
@@ -61,6 +64,20 @@ class RunOptions:
         validate_max_samples(self.max_series_samples)
 
 
+def import_engines(configs: Iterable[NetworkConfig]) -> None:
+    """Import the engine of every backend ``configs`` resolve to.
+
+    :func:`simulate` imports its engine on first use, so a process that
+    never simulates never loads one.  The forking executors call this in
+    the parent before they fork, so that each child inherits the loaded
+    engine instead of importing it again for every cell.
+    """
+    from ..vector.support import resolve_backend
+
+    for cfg in configs:
+        importlib.import_module(_ENGINE_MODULES[resolve_backend(cfg)])
+
+
 def simulate(
     cfg: NetworkConfig,
     options: Optional[RunOptions] = None,
@@ -88,6 +105,10 @@ def simulate(
         from ..vector import simulate_vector
 
         return simulate_vector(cfg, opts, tracer=tracer)
+    # Before the clock starts: wall_time_s times the simulation, not the
+    # first call's import of the kernel.
+    from ..network import SensorNetwork
+
     wall_start = time.perf_counter()
     net = SensorNetwork(cfg, tracer=tracer)
     result = RunResult(

@@ -691,12 +691,21 @@ class NetworkConfig:
         two configs differing anywhere (a churn rate, a sink offset, a
         scale knob) digest differently, so a stale or reordered store can
         never silently fill the wrong cell.
+
+        Computed once per instance: the config is frozen, and the cached
+        value lives outside the dataclass fields, so ``==``, ``hash``,
+        :meth:`to_dict` and ``dataclasses.replace`` never see it.
         """
+        cached = self.__dict__.get("_digest")
+        if cached is not None:
+            return cached
         import hashlib
         import json
 
         payload = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        object.__setattr__(self, "_digest", digest)
+        return digest
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "NetworkConfig":

@@ -80,6 +80,10 @@ class PoolExecutor(CampaignExecutor):
         hooks = hooks or ExecutionHooks()
         if self.jobs <= 1 or len(scenarios) <= 1:
             return SerialExecutor().execute(scenarios, hooks)
+        from ..api.engine import import_engines
+
+        # Forked workers inherit the engine instead of each importing it.
+        import_engines(sc.config for sc in scenarios)
         total = len(scenarios)
         results = []
         workers = min(self.jobs, total)

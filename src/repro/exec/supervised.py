@@ -152,10 +152,15 @@ class SupervisedExecutor(CampaignExecutor):
         import multiprocessing as mp
         from multiprocessing.connection import wait as conn_wait
 
+        from ..api.engine import import_engines
+
         hooks = hooks or ExecutionHooks()
         supervise = self.config
         ctx = mp.get_context()
         scenarios = list(scenarios)
+        # Every attempt forks a fresh child: import the engine once here,
+        # not once per cell.
+        import_engines(sc.config for sc in scenarios)
         total = len(scenarios)
         results: List[Optional[Any]] = [None] * total
         settled = [False] * total  # done or quarantined

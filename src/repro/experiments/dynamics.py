@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence
 
 from ..api import RunOptions, RunResult, Scenario, experiment
 from ..config import Protocol
-from ..metrics.summary import summarize
+from ..metrics.summary import mean_of
 from .figures import _LABELS, _PROTOCOLS, FigureResult, _resolve_runs
 from .presets import get_preset
 
@@ -120,13 +120,13 @@ def ext_dynamics(
             result.rows.append([
                 _LABELS[proto],
                 churn,
-                summarize(failures).mean,
-                summarize(recoveries).mean,
-                summarize(orphaned).mean,
-                summarize(rates).mean if rates else None,
-                summarize(offered).mean if offered else None,
-                summarize(first_fails).mean if first_fails else None,
-                summarize(survivor_kbps).mean,
-                summarize(lifetimes).mean if lifetimes else None,
+                mean_of(failures),
+                mean_of(recoveries),
+                mean_of(orphaned),
+                mean_of(rates) if rates else None,
+                mean_of(offered) if offered else None,
+                mean_of(first_fails) if first_fails else None,
+                mean_of(survivor_kbps),
+                mean_of(lifetimes) if lifetimes else None,
             ])
     return result

@@ -35,7 +35,7 @@ from ..config import Protocol
 from ..errors import ExperimentError
 from ..metrics.fairness import mean_snapshot_std
 from ..metrics.lifetime import network_lifetime_s
-from ..metrics.summary import summarize
+from ..metrics.summary import mean_of
 from .presets import Preset, get_preset
 from .report import render_table, write_csv
 
@@ -263,14 +263,14 @@ def fig9_nodes_alive(
         result.rows.append([t] + [columns[p][i] for p in _PROTOCOLS])
 
     # Lifetime gains versus pure LEACH (the paper: ~+40% S1, ~+130% S2).
-    base = summarize(lifetimes[Protocol.PURE_LEACH]).mean if any(
+    base = mean_of(lifetimes[Protocol.PURE_LEACH]) if any(
         v is not None for v in lifetimes[Protocol.PURE_LEACH]
     ) else None
     gain_bits = []
     for proto in (Protocol.CAEM_ADAPTIVE, Protocol.CAEM_FIXED):
         vals = [v for v in lifetimes[proto] if v is not None]
         if base and vals:
-            gain = (summarize(vals).mean / base - 1.0) * 100.0
+            gain = (mean_of(vals) / base - 1.0) * 100.0
             gain_bits.append(f"{_LABELS[proto]} {gain:+.0f}%")
     result.notes = (
         "lifetime (80% dead) gains vs pure LEACH: " + ", ".join(gain_bits)
@@ -318,7 +318,7 @@ def fig10_lifetime_vs_load(
         for _proto in _PROTOCOLS:
             vals = [next(it).lifetime_s for _seed in seeds]
             usable = [v for v in vals if v is not None]
-            row.append(summarize(usable).mean if usable else None)
+            row.append(mean_of(usable) if usable else None)
         result.rows.append(row)
     return result
 
@@ -365,7 +365,7 @@ def fig11_energy_per_packet(
                 run = next(it)
                 if run.energy_per_packet_j is not None:
                     vals.append(run.energy_per_packet_j * 1e3)
-            per_proto[proto] = summarize(vals).mean if vals else None
+            per_proto[proto] = mean_of(vals) if vals else None
         leach = per_proto[Protocol.PURE_LEACH]
         s1 = per_proto[Protocol.CAEM_ADAPTIVE]
         saving = (
@@ -423,7 +423,7 @@ def fig12_queue_stddev(
                 snaps = run.queue_snapshots[cut:]
                 if snaps:
                     vals.append(mean_snapshot_std(snaps))
-            row.append(summarize(vals).mean if vals else None)
+            row.append(mean_of(vals) if vals else None)
         result.rows.append(row)
     return result
 
@@ -477,9 +477,9 @@ def ext_performance(
                 if run.delivery_rate is not None:
                     rates.append(run.delivery_rate)
             row += [
-                summarize(delays).mean if delays else None,
-                summarize(tputs).mean if tputs else None,
-                summarize(rates).mean if rates else None,
+                mean_of(delays) if delays else None,
+                mean_of(tputs) if tputs else None,
+                mean_of(rates) if rates else None,
             ]
         result.rows.append(row)
     return result

@@ -14,7 +14,6 @@ from typing import List
 
 from ..api import experiment
 from ..config import NetworkConfig
-from ..mac.tone import ToneChannelSpec
 from .figures import FigureResult
 
 __all__ = ["table1_tone_spec", "table2_parameters"]
@@ -24,6 +23,8 @@ __all__ = ["table1_tone_spec", "table2_parameters"]
             summary="Tone-channel pulse pattern per data-channel state")
 def table1_tone_spec(cfg: NetworkConfig | None = None) -> FigureResult:
     """Table I: "using different pulse intervals to identify channel states"."""
+    from ..mac.tone import ToneChannelSpec
+
     cfg = cfg or NetworkConfig()
     spec = ToneChannelSpec(cfg.tone)
     result = FigureResult(

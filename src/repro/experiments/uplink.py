@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence
 
 from ..api import RunOptions, RunResult, Scenario, experiment
 from ..config import Protocol
-from ..metrics.summary import summarize
+from ..metrics.summary import mean_of
 from .figures import FigureResult, _resolve_runs
 from .presets import get_preset
 
@@ -112,12 +112,12 @@ def ext_uplink(
             result.rows.append([
                 mode,
                 offset,
-                summarize(rates).mean if rates else None,
-                summarize(p50s).mean if p50s else None,
-                summarize(p90s).mean if p90s else None,
-                summarize(p99s).mean if p99s else None,
-                summarize(hops).mean if hops else None,
-                summarize(shares).mean if shares else None,
-                summarize(lifetimes).mean if lifetimes else None,
+                mean_of(rates) if rates else None,
+                mean_of(p50s) if p50s else None,
+                mean_of(p90s) if p90s else None,
+                mean_of(p99s) if p99s else None,
+                mean_of(hops) if hops else None,
+                mean_of(shares) if shares else None,
+                mean_of(lifetimes) if lifetimes else None,
             ])
     return result

@@ -10,7 +10,7 @@ from .performance import (
     delivery_rate,
     mean_delay_s,
 )
-from .summary import Summary, summarize
+from .summary import Summary, mean_of, summarize
 
 __all__ = [
     "TimeSeriesCollector",
@@ -29,5 +29,6 @@ __all__ = [
     "aggregate_throughput_bps",
     "delivery_rate",
     "Summary",
+    "mean_of",
     "summarize",
 ]

@@ -9,12 +9,14 @@ during the observed time [and] average them").
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 import numpy as np
 
 from ..errors import ExperimentError
-from ..sim import Simulator
+
+if TYPE_CHECKING:
+    from ..sim import Simulator
 
 __all__ = ["TimeSeriesCollector", "validate_max_samples"]
 

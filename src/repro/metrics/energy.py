@@ -12,10 +12,12 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from ..errors import ExperimentError
-from ..network import SensorNetwork
+
+if TYPE_CHECKING:
+    from ..network import SensorNetwork
 
 __all__ = ["mean_remaining_energy_j", "energy_per_delivered_packet_j", "energy_share"]
 

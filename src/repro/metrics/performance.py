@@ -8,12 +8,14 @@ the ``ext-perf`` experiment.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from ..errors import ExperimentError
-from ..network import SensorNetwork
+
+if TYPE_CHECKING:
+    from ..network import SensorNetwork
 
 __all__ = [
     "mean_delay_s",

@@ -27,12 +27,11 @@ cells; and the seeded **fault-injection harness**
 hangs, torn writes, fsync failures — that prove it.
 """
 
+from .._lazy import lazy_exports
 from .cache import CacheStats, RunCache
 from .db import DB_SUFFIXES, DbResultStore, open_store
 from .faults import FaultInjector, FaultPlan, InjectedFault, inject_faults
 from .gc import collect_garbage, describe_gc
-from .http import CampaignServer, build_server
-from .jobs import JobManager, JobRecord
 from .manifest import CampaignManifest, manifest_for_store
 from .migrations import MIGRATIONS, SCHEMA_VERSION, ensure_schema, schema_version
 from .query import Predicate, aggregate_runs, parse_predicate, query_runs
@@ -64,3 +63,15 @@ __all__ = [
     "query_runs",
     "schema_version",
 ]
+
+#: Resolved on first access: the campaign server and its job queue load
+#: the HTTP stack, which ``run``, ``query`` and ``gc`` never use.
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "CampaignServer": ".http",
+        "build_server": ".http",
+        "JobManager": ".jobs",
+        "JobRecord": ".jobs",
+    },
+)

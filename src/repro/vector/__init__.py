@@ -35,7 +35,7 @@ Select it per run with ``cfg.with_scale(backend="vector")``; the default
 otherwise (see :func:`~repro.vector.support.resolve_backend`).
 """
 
-from .engine import simulate_vector
+from .._lazy import lazy_exports
 from .support import AUTO_VECTOR_MIN_NODES, resolve_backend, vector_refusal
 
 __all__ = [
@@ -44,3 +44,7 @@ __all__ = [
     "simulate_vector",
     "vector_refusal",
 ]
+
+#: The engine loads on first use: resolving a backend, which the config
+#: layer does to digest an ``"auto"`` config, needs only ``.support``.
+__getattr__ = lazy_exports(__name__, {"simulate_vector": ".engine"})

@@ -185,3 +185,16 @@ class TestConvenienceAndRoundtrip:
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             NetworkConfig().n_nodes = 5  # type: ignore[misc]
+
+    def test_memoized_digest_is_invisible(self):
+        import pickle
+
+        cfg = NetworkConfig(n_nodes=30)
+        before = (cfg.to_dict(), hash(cfg), repr(cfg))
+        digest = cfg.digest()
+        assert cfg.digest() == digest == NetworkConfig(n_nodes=30).digest()
+        assert (cfg.to_dict(), hash(cfg), repr(cfg)) == before
+        assert cfg == NetworkConfig(n_nodes=30)
+        moved = dataclasses.replace(cfg, n_nodes=31)
+        assert moved.digest() == NetworkConfig(n_nodes=31).digest() != digest
+        assert pickle.loads(pickle.dumps(cfg)).digest() == digest

@@ -1,0 +1,183 @@
+"""Import cost follows the work: no kernel or scipy where nothing simulates.
+
+A process that never simulates — CLI parsing, ``--cache`` hits, ``--from``
+re-renders, ``list``, ``query``, ``gc`` — must not import the event
+kernel (``repro.network``, ``repro.sim``, ``repro.mac``, ``repro.channel``,
+``repro.phy``) or scipy.  Every check runs in a fresh interpreter, since
+this test process has long since imported everything.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+#: Module prefixes a process that does not simulate must not load.
+KERNEL = (
+    "scipy",
+    "repro.network",
+    "repro.sim",
+    "repro.mac",
+    "repro.channel",
+    "repro.phy",
+)
+
+FIG11 = ("run", "fig11", "--preset", "smoke")
+
+#: Runs the CLI, then dumps the loaded module names to the file in argv[1].
+_RECORDING_CLI = (
+    "import json, sys\n"
+    "from repro.cli import main\n"
+    "code = main(sys.argv[2:])\n"
+    "with open(sys.argv[1], 'w') as fh:\n"
+    "    json.dump(sorted(sys.modules), fh)\n"
+    "sys.exit(code)\n"
+)
+
+
+def _python(*args, cwd=None):
+    env = dict(os.environ, PYTHONPATH=REPO_SRC)
+    proc = subprocess.run(
+        [sys.executable, *args],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def _modules_after(code: str):
+    """The modules a fresh interpreter has loaded after running ``code``."""
+    code += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+    return json.loads(_python("-c", code).stdout.splitlines()[-1])
+
+
+def _kernel_modules(modules):
+    return [
+        m for m in modules
+        if any(m == p or m.startswith(p + ".") for p in KERNEL)
+    ]
+
+
+def _recorded_cli(tmp_path, *argv):
+    """A CLI call in a fresh interpreter: (process, modules loaded by exit)."""
+    record = tmp_path / "modules.json"
+    proc = _python("-c", _RECORDING_CLI, str(record), *argv, cwd=tmp_path)
+    return proc, json.loads(record.read_text())
+
+
+@pytest.fixture(scope="module")
+def cold(tmp_path_factory):
+    """A fig11 smoke database filled by a cold ``--cache`` pass, and its stdout."""
+    workdir = tmp_path_factory.mktemp("cold")
+    db = workdir / "fig11.sqlite"
+    proc = _python("-m", "repro", *FIG11, "--cache", str(db), cwd=workdir)
+    assert ", 18 simulated," in proc.stderr
+    return db, proc.stdout
+
+
+def test_import_cli_loads_no_kernel_or_scipy():
+    assert _kernel_modules(_modules_after("import repro.cli")) == []
+
+
+def test_digesting_an_auto_config_loads_no_engine():
+    # Pairing an "auto" cell resolves its backend, which needs only
+    # repro.vector.support, not the vector engine.
+    modules = _modules_after("\n".join([
+        "from repro.config import NetworkConfig",
+        "NetworkConfig(n_nodes=5000).with_scale(backend='auto').digest()",
+    ]))
+    assert _kernel_modules(modules) == []
+    assert "repro.vector.engine" not in modules
+
+
+def test_summarize_loads_scipy_only_for_an_interval():
+    single = "from repro.metrics import summarize\nsummarize([1.0])"
+    assert _kernel_modules(_modules_after(single)) == []
+    multi = "from repro.metrics import summarize\nsummarize([1.0, 2.0])"
+    assert "scipy.stats" in _modules_after(multi)
+
+
+def test_warm_cache_pass_loads_no_kernel_and_matches_cold(cold, tmp_path):
+    db, cold_stdout = cold
+    proc, modules = _recorded_cli(tmp_path, *FIG11, "--cache", str(db))
+    assert ", 0 simulated," in proc.stderr
+    assert proc.stdout == cold_stdout
+    assert _kernel_modules(modules) == []
+    assert "repro.service.http" not in modules
+
+
+def test_from_rerender_loads_no_kernel_and_matches_cold(cold, tmp_path):
+    db, cold_stdout = cold
+    proc, modules = _recorded_cli(tmp_path, *FIG11, "--from", str(db))
+    assert proc.stdout == cold_stdout
+    assert _kernel_modules(modules) == []
+    assert "repro.service.http" not in modules
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("list",),
+        ("query", "{db}", "--experiment", "fig11", "--limit", "3"),
+        ("query", "{db}", "--agg", "mean", "--group-by", "protocol"),
+        ("gc", "{db}", "--dry-run"),
+    ],
+    ids=["list", "query", "query-agg", "gc"],
+)
+def test_store_commands_load_no_kernel(cold, tmp_path, argv):
+    db, _ = cold
+    argv = [a.format(db=db) for a in argv]
+    _, modules = _recorded_cli(tmp_path, *argv)
+    assert _kernel_modules(modules) == []
+    assert "repro.service.http" not in modules
+
+
+def test_lazy_reexports_resolve():
+    _python("-c", "\n".join([
+        "import repro, repro.network, repro.sim, repro.service",
+        "from repro import SensorNetwork, NetworkStats, Simulator",
+        "assert SensorNetwork is repro.network.SensorNetwork",
+        "assert NetworkStats is repro.network.NetworkStats",
+        "assert Simulator is repro.sim.Simulator",
+        "from repro.service import build_server, JobManager",
+        "from repro.service.http import build_server as http_build_server",
+        "assert build_server is http_build_server",
+        "assert JobManager is repro.service.jobs.JobManager",
+        "ns = {}",
+        "exec('from repro import *', ns)",
+        "assert set(repro.__all__) <= set(ns)",
+        "ns = {}",
+        "exec('from repro.service import *', ns)",
+        "assert set(repro.service.__all__) <= set(ns)",
+        "for pkg in (repro, repro.service):",
+        "    try:",
+        "        pkg.no_such_name",
+        "    except AttributeError:",
+        "        pass",
+        "    else:",
+        "        raise AssertionError('unknown attribute resolved')",
+    ]))
+
+
+@pytest.mark.parametrize("executor", ["supervised:jobs=1", "pool:2"])
+def test_forking_executor_imports_the_kernel_before_forking(executor):
+    # Cells run in forked children, so the parent only has the kernel
+    # loaded if it imported it itself before forking.
+    modules = _modules_after("\n".join([
+        "import sys",
+        "from repro.api import Campaign, Scenario",
+        "base = Scenario.from_preset('smoke').with_runtime(",
+        "    horizon_s=2.0, sample_interval_s=1.0)",
+        "assert 'repro.network' not in sys.modules",
+        f"Campaign(base).seeds([1, 2]).run(executor={executor!r})",
+    ]))
+    assert "repro.network" in modules

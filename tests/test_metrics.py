@@ -1,5 +1,7 @@
 """Metrics: collectors, lifetime, fairness, summary."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.metrics import (
     first_death_s,
     jain_index,
     last_death_s,
+    mean_of,
     mean_snapshot_std,
     network_lifetime_s,
     queue_length_std,
@@ -167,3 +170,33 @@ class TestSummary:
     def test_bad_confidence(self):
         with pytest.raises(ExperimentError):
             summarize([1.0, 2.0], confidence=1.5)
+
+    @pytest.mark.parametrize("n", [2, 3, 10])
+    def test_ci_bounds_bit_equal_to_student_t(self, n):
+        from scipy import stats
+
+        values = [float(v) for v in np.random.default_rng(n).normal(10.0, 2.0, n)]
+        arr = np.asarray(values, dtype=float)
+        mean = float(arr.mean())
+        std = float(arr.std(ddof=1))
+        half = float(stats.t.ppf(0.975, df=n - 1)) * (std / math.sqrt(n))
+        s = summarize(values)
+        assert (s.n, s.mean, s.std) == (n, mean, std)
+        assert (s.ci_low, s.ci_high) == (mean - half, mean + half)
+
+
+class TestMeanOf:
+    @pytest.mark.parametrize("values", [
+        [4.2],
+        [1.0, 2.0],
+        [0.1, 0.2, 0.7],
+        [1.0, None, 3.0, float("nan")],
+        list(np.random.default_rng(7).normal(1e-3, 2e-4, 10)),
+    ])
+    def test_bit_equal_to_summarize_mean(self, values):
+        assert mean_of(values) == summarize(values).mean
+
+    @pytest.mark.parametrize("values", [[], [None], [float("nan"), None]])
+    def test_nothing_usable_rejected(self, values):
+        with pytest.raises(ExperimentError):
+            mean_of(values)
