@@ -9,8 +9,9 @@ preserved.  This is the central environmental sensitivity of CAEM.
 
 import dataclasses
 
+from repro.api import RunOptions, simulate
 from repro.config import Protocol
-from repro.experiments import get_preset, render_table, run_scenario
+from repro.experiments import get_preset, render_table
 
 from conftest import run_once
 
@@ -23,8 +24,8 @@ def _run(preset: str, coherence_s: float, seeds):
         cfg = cfg.with_(
             channel=dataclasses.replace(cfg.channel, fading_coherence_s=coherence_s)
         )
-        run = run_scenario(cfg, horizon_s=tier.rate_horizon_s,
-                           sample_interval_s=tier.sample_interval_s)
+        run = simulate(cfg, RunOptions(horizon_s=tier.rate_horizon_s,
+                                       sample_interval_s=tier.sample_interval_s))
         delays.append(run.mean_delay_s * 1e3)
         qdrops.append(run.dropped_overflow)
         if run.energy_per_packet_j:

@@ -10,8 +10,9 @@ energy and the contention effect of the choice.
 
 import dataclasses
 
+from repro.api import RunOptions, simulate
 from repro.config import Protocol
-from repro.experiments import get_preset, render_table, run_scenario
+from repro.experiments import get_preset, render_table
 
 from conftest import run_once
 
@@ -22,8 +23,8 @@ def _run(preset: str, startup_s: float, seed: int):
     cfg = cfg.with_(
         energy=dataclasses.replace(cfg.energy, startup_time_s=startup_s)
     )
-    return run_scenario(cfg, horizon_s=tier.rate_horizon_s,
-                        sample_interval_s=tier.sample_interval_s)
+    return simulate(cfg, RunOptions(horizon_s=tier.rate_horizon_s,
+                                    sample_interval_s=tier.sample_interval_s))
 
 
 def _sweep(preset: str, seeds):

@@ -10,8 +10,9 @@ savings — the effect that would otherwise flatten Figs. 8–10.
 
 import dataclasses
 
+from repro.api import RunOptions, simulate
 from repro.config import Protocol
-from repro.experiments import get_preset, render_table, run_scenario
+from repro.experiments import get_preset, render_table
 
 from conftest import run_once
 
@@ -22,8 +23,8 @@ def _energy_split(preset: str, duty: float, seeds):
     for seed in seeds:
         cfg = tier.config(Protocol.CAEM_FIXED, load_pps=5.0, seed=seed)
         cfg = cfg.with_(tone=dataclasses.replace(cfg.tone, monitor_duty_cycle=duty))
-        run = run_scenario(cfg, horizon_s=tier.rate_horizon_s,
-                           sample_interval_s=tier.sample_interval_s)
+        run = simulate(cfg, RunOptions(horizon_s=tier.rate_horizon_s,
+                                       sample_interval_s=tier.sample_interval_s))
         total_tx += run.energy_breakdown.get("data_tx", 0.0)
         total_tone += run.energy_breakdown.get("tone_rx", 0.0)
         total += run.total_consumed_j

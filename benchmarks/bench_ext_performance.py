@@ -15,8 +15,8 @@ from conftest import run_once
 LOADS = (5.0, 20.0)
 
 
-def test_ext_performance(benchmark, preset, seeds, jobs):
-    result = run_once(benchmark, ext_performance, preset, seeds, LOADS, jobs=jobs)
+def test_ext_performance(benchmark, preset, seeds, executor):
+    result = run_once(benchmark, ext_performance, preset, seeds, LOADS)
     print()
     print(result.render())
 

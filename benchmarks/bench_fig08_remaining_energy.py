@@ -13,8 +13,8 @@ from repro.experiments import fig8_remaining_energy
 from conftest import run_once
 
 
-def test_fig8_remaining_energy(benchmark, preset, seeds, jobs):
-    result = run_once(benchmark, fig8_remaining_energy, preset, seeds, jobs=jobs)
+def test_fig8_remaining_energy(benchmark, preset, seeds, executor):
+    result = run_once(benchmark, fig8_remaining_energy, preset, seeds)
     print()
     print(result.render())
 

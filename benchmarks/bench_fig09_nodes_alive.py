@@ -25,8 +25,8 @@ def _lifetime(result, protocol, n_nodes):
     return float(np.mean(vals)) if vals else None
 
 
-def test_fig9_nodes_alive(benchmark, preset, seeds, jobs):
-    result = run_once(benchmark, fig9_nodes_alive, preset, seeds, jobs=jobs)
+def test_fig9_nodes_alive(benchmark, preset, seeds, executor):
+    result = run_once(benchmark, fig9_nodes_alive, preset, seeds)
     print()
     print(result.render())
 

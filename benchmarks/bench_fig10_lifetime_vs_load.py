@@ -17,9 +17,9 @@ from conftest import run_once
 LOADS = (5.0, 15.0, 30.0)  # decimated sweep keeps the bench affordable
 
 
-def test_fig10_lifetime_vs_load(benchmark, preset, seeds, jobs):
+def test_fig10_lifetime_vs_load(benchmark, preset, seeds, executor):
     result = run_once(
-        benchmark, fig10_lifetime_vs_load, preset, seeds, LOADS, jobs=jobs
+        benchmark, fig10_lifetime_vs_load, preset, seeds, LOADS
     )
     print()
     print(result.render())

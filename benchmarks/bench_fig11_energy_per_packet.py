@@ -15,9 +15,9 @@ from conftest import run_once
 LOADS = (5.0, 15.0, 30.0)
 
 
-def test_fig11_energy_per_packet(benchmark, preset, seeds, jobs):
+def test_fig11_energy_per_packet(benchmark, preset, seeds, executor):
     result = run_once(
-        benchmark, fig11_energy_per_packet, preset, seeds, LOADS, jobs=jobs
+        benchmark, fig11_energy_per_packet, preset, seeds, LOADS
     )
     print()
     print(result.render())

@@ -15,9 +15,9 @@ from conftest import run_once
 LOADS = (5.0, 15.0, 30.0)
 
 
-def test_fig12_queue_stddev(benchmark, preset, seeds, jobs):
+def test_fig12_queue_stddev(benchmark, preset, seeds, executor):
     result = run_once(
-        benchmark, fig12_queue_stddev, preset, seeds, LOADS, jobs=jobs
+        benchmark, fig12_queue_stddev, preset, seeds, LOADS
     )
     print()
     print(result.render())

@@ -4,12 +4,15 @@ Every bench regenerates one of the paper's tables/figures.  Simulation
 benches run ONCE per session (pedantic mode): the interesting output is
 the regenerated table, printed after timing, not a latency distribution.
 Select the tier with ``--preset`` (default "quick"; "full" is Table II
-paper scale and takes tens of minutes for the lifetime sweeps).
+paper scale and takes tens of minutes for the lifetime sweeps), and the
+figure grids' execution backend with ``--executor`` (default "serial").
 """
 
 from __future__ import annotations
 
 import pytest
+
+from repro.api import use_executor
 
 
 def pytest_addoption(parser):
@@ -27,12 +30,11 @@ def pytest_addoption(parser):
         help="comma-separated replication seeds",
     )
     parser.addoption(
-        "--jobs",
+        "--executor",
         action="store",
-        type=int,
-        default=1,
-        help="parallel simulation processes for the figure grids "
-             "(tables are identical at any parallelism)",
+        default="serial",
+        help="execution backend for the figure grids, e.g. 'pool:4' "
+             "(tables are identical under every executor)",
     )
 
 
@@ -47,9 +49,11 @@ def seeds(request):
     return tuple(int(s) for s in raw.split(","))
 
 
-@pytest.fixture(scope="session")
-def jobs(request) -> int:
-    return request.config.getoption("--jobs")
+@pytest.fixture
+def executor(request):
+    """Run the test inside ``use_executor(--executor)``."""
+    with use_executor(request.config.getoption("--executor")) as live:
+        yield live
 
 
 def run_once(benchmark, fn, *args, **kwargs):

@@ -6,13 +6,13 @@ The full new-API workflow in one script:
 1. build a template :class:`~repro.api.Scenario` from a preset;
 2. expand it into a :class:`~repro.api.Campaign` grid (3 protocols ×
    3 loads × 2 seeds = 18 runs);
-3. execute with ``--jobs N`` process parallelism (results bit-identical
-   to serial) while streaming every raw run into a
-   :class:`~repro.api.ResultStore`;
+3. execute under any ``--executor SPEC`` — ``serial``, ``pool:4``,
+   ``supervised:retries=2``... (results bit-identical to serial) while
+   streaming every raw run into a :class:`~repro.api.ResultStore`;
 4. aggregate with :meth:`CampaignResult.select` and re-load the store to
    show that nothing needs re-simulating.
 
-Run:  python examples/campaign_study.py [--jobs 4] [--store runs.jsonl]
+Run:  python examples/campaign_study.py [--executor pool:4] [--store runs.jsonl]
 """
 
 import argparse
@@ -30,7 +30,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--preset", default="smoke",
                         choices=("smoke", "quick", "full"))
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--executor", default="serial", metavar="SPEC",
+                        help="execution backend, e.g. serial or pool:4")
     parser.add_argument("--store", default=None,
                         help="also persist raw runs to this .jsonl/.csv path")
     args = parser.parse_args()
@@ -41,9 +42,9 @@ def main() -> None:
         .over(protocol=list(Protocol), load_pps=list(LOADS))
         .seeds(SEEDS)
     )
-    print(f"executing {len(campaign)} scenarios (jobs={args.jobs}) ...")
+    print(f"executing {len(campaign)} scenarios ...")
     store = ResultStore(args.store) if args.store else None
-    result = campaign.run(jobs=args.jobs, store=store)
+    result = campaign.run(executor=args.executor, store=store)
 
     rows = []
     for load in LOADS:

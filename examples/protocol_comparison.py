@@ -4,10 +4,10 @@
 Runs pure LEACH, Scheme 1 (adaptive threshold) and Scheme 2 (fixed
 threshold) on identical topology/traffic/channel seeds — a miniature of
 the paper's whole evaluation — expressed as a one-axis
-:class:`repro.api.Campaign`.  Pass ``--jobs 3`` to run the three
-protocols in parallel processes; the table is identical either way.
+:class:`repro.api.Campaign`.  Pass ``--executor pool:3`` to run the
+three protocols in parallel processes; the table is identical either way.
 
-Run:  python examples/protocol_comparison.py [--nodes N] [--horizon S] [--jobs N]
+Run:  python examples/protocol_comparison.py [--nodes N] [--horizon S] [--executor SPEC]
 """
 
 import argparse
@@ -22,7 +22,8 @@ def main() -> None:
     parser.add_argument("--nodes", type=int, default=30)
     parser.add_argument("--horizon", type=float, default=60.0)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--executor", default="serial", metavar="SPEC",
+                        help="execution backend, e.g. serial or pool:3")
     args = parser.parse_args()
 
     base = (
@@ -33,7 +34,7 @@ def main() -> None:
     campaign = Campaign(base, name="protocol-comparison").over(
         protocol=list(Protocol)
     )
-    result = campaign.run(jobs=args.jobs)
+    result = campaign.run(executor=args.executor)
 
     rows = []
     for scenario, run in result:

@@ -6,8 +6,9 @@ on:
 * :class:`Scenario` — fluent builder for one fully specified run
   (config + run options + tags);
 * :class:`Campaign` — a scenario grid (protocol × load × seed × any
-  config field) executed serially or across a process pool
-  (``jobs=N``), bit-identical at any parallelism;
+  config field) executed under any :class:`ExecutorSpec` (serial,
+  ``"pool:4"``, supervised, distributed), bit-identical at any
+  parallelism;
 * :class:`ResultStore` — JSONL/CSV persistence of :class:`RunResult`
   rows, so figures re-render without re-simulating;
 * :func:`experiment` / :func:`get_experiment` / :func:`list_experiments`
@@ -25,7 +26,7 @@ Quickstart::
     camp = (Campaign(base, name="demo")
             .over(protocol=list(Protocol), load_pps=[5.0, 15.0, 25.0])
             .seeds([1, 2]))
-    result = camp.run(jobs=4, store=ResultStore("runs.jsonl"))
+    result = camp.run(executor="pool:4", store=ResultStore("runs.jsonl"))
     for scenario, run in result:
         print(scenario.describe(), run.delivery_rate)
 """
@@ -37,15 +38,11 @@ from .campaign import (
     CampaignResult,
     CellFailure,
     ExecutorSpec,
-    SupervisorConfig,
     active_executor,
     active_run_cache,
-    active_supervisor,
-    default_jobs,
     run_scenarios,
     use_executor,
     use_run_cache,
-    use_supervisor,
 )
 from .engine import RunOptions, simulate
 from .registry import (
@@ -71,11 +68,8 @@ __all__ = [
     "RunOptions",
     "RunResult",
     "Scenario",
-    "SupervisorConfig",
     "active_executor",
     "active_run_cache",
-    "active_supervisor",
-    "default_jobs",
     "experiment",
     "get_experiment",
     "list_experiments",
@@ -84,5 +78,4 @@ __all__ = [
     "simulate",
     "use_executor",
     "use_run_cache",
-    "use_supervisor",
 ]

@@ -186,7 +186,7 @@ def _bench_figure_fig8() -> None:
     from .registry import get_experiment
 
     fig = get_experiment("fig8").run(
-        preset="quick", seeds=(1,), loads_pps=(5.0,), jobs=1
+        preset="quick", seeds=(1,), loads_pps=(5.0,)
     )
     fig.render()
 

@@ -23,13 +23,9 @@ returns the same bytes again, whatever set of workers ran the cells.
 8
 >>> result = camp.run(executor="pool:4")  # doctest: +SKIP
 
-The legacy spellings (``jobs=N``, ``supervise=SupervisorConfig(...)``)
-remain first-class: they are mapped onto the equivalent spec by
-:meth:`~repro.exec.ExecutorSpec.from_legacy` and are pinned equivalent
-by tests.  The execution machinery itself lives in :mod:`repro.exec`;
-this module re-exports the historical names (``SupervisorConfig``,
-``CellFailure``, ``CampaignIncompleteError``) so existing imports keep
-working.
+A policy reaches :func:`run_scenarios` as an explicit ``executor=``
+argument, else the ambient :func:`use_executor`, else serial.  The
+execution machinery itself lives in :mod:`repro.exec`.
 """
 
 from __future__ import annotations
@@ -38,7 +34,6 @@ import contextlib
 import contextvars
 import dataclasses
 import itertools
-import os
 from dataclasses import dataclass, field as dc_field
 from typing import (
     Any,
@@ -60,15 +55,7 @@ from ..exec.base import (
     ExecutionHooks,
     get_executor,
 )
-# _execute / _supervised_child / _consult_worker_faults were private
-# here before the machinery moved to repro.exec; keep them resolvable.
-from ..exec.local import execute_scenario as _execute  # noqa: F401
 from ..exec.spec import ExecutorSpec, active_executor, use_executor
-from ..exec.supervised import (  # noqa: F401
-    SupervisorConfig,
-    _supervised_child,
-    consult_worker_faults as _consult_worker_faults,
-)
 from .result import RunResult
 from .scenario import Scenario, _SECTIONS
 
@@ -78,13 +65,9 @@ __all__ = [
     "CampaignIncompleteError",
     "CellFailure",
     "ExecutorSpec",
-    "SupervisorConfig",
     "run_scenarios",
-    "default_jobs",
     "use_run_cache",
     "active_run_cache",
-    "use_supervisor",
-    "active_supervisor",
     "use_executor",
     "active_executor",
     "NO_CACHE",
@@ -125,75 +108,22 @@ def active_run_cache():
     return _ACTIVE_CACHE.get()
 
 
-#: The ambient supervisor (see :func:`use_supervisor`).
-_ACTIVE_SUPERVISOR: contextvars.ContextVar = contextvars.ContextVar(
-    "repro_supervisor", default=None
-)
-
-
-@contextlib.contextmanager
-def use_supervisor(config: SupervisorConfig):
-    """Route every :func:`run_scenarios` call in this context through the
-    fault-tolerant supervised executor (watchdog + retry + quarantine).
-    The CLI's ``--resume`` / ``--retries`` / ``--cell-timeout`` flags and
-    the campaign server install one of these, so registered experiments
-    gain crash recovery without signature changes — the same ambient
-    pattern as :func:`use_run_cache`.
-
-    Legacy shim: equivalent to ``use_executor(ExecutorSpec.from_legacy(
-    supervise=config))`` except that the caller's ``jobs`` argument still
-    selects the worker-process concurrency.
-    """
-    token = _ACTIVE_SUPERVISOR.set(config)
-    try:
-        yield config
-    finally:
-        _ACTIVE_SUPERVISOR.reset(token)
-
-
-def active_supervisor() -> Optional[SupervisorConfig]:
-    """The supervisor installed by :func:`use_supervisor`, or ``None``."""
-    return _ACTIVE_SUPERVISOR.get()
-
-
-def default_jobs() -> int:
-    """Honour ``REPRO_JOBS`` if set, else 1 (serial — always safe)."""
-    try:
-        return max(1, int(os.environ.get("REPRO_JOBS", "1")))
-    except ValueError:
-        return 1
-
-
-def resolve_executor(
-    jobs: int = 1,
-    supervise: Optional[SupervisorConfig] = None,
-    executor=None,
-):
+def resolve_executor(executor=None):
     """Pick the executor one :func:`run_scenarios` call should use.
 
-    Precedence, most explicit first: an ``executor`` argument (spec,
-    compact string, JSON dict, or live :class:`CampaignExecutor`); an
-    explicit ``supervise`` config (the legacy spelling — callers who
-    pass it are asking for supervision); the ambient
-    :func:`use_executor` context; the ambient :func:`use_supervisor`
-    context; finally the ``jobs`` count (``>1`` → process pool, else
-    serial).  Returns a spec or a live executor — callers instantiate
+    An explicit ``executor`` (spec, compact string, JSON dict, or live
+    :class:`CampaignExecutor`), else the ambient :func:`use_executor`,
+    else serial.  Returns a spec or a live executor — callers instantiate
     specs via :func:`~repro.exec.base.get_executor` and own the
     resulting instance's lifetime.
     """
-    if executor is not None:
-        if isinstance(executor, CampaignExecutor):
-            return executor
-        return ExecutorSpec.normalize(executor)
-    if supervise is not None:
-        return ExecutorSpec.from_legacy(jobs=jobs, supervise=supervise)
-    ambient = active_executor()
-    if ambient is not None:
-        return ambient
-    ambient_sup = active_supervisor()
-    if ambient_sup is not None:
-        return ExecutorSpec.from_legacy(jobs=jobs, supervise=ambient_sup)
-    return ExecutorSpec.from_legacy(jobs=jobs)
+    if executor is None:
+        executor = active_executor()
+    if executor is None:
+        return ExecutorSpec()
+    if isinstance(executor, CampaignExecutor):
+        return executor
+    return ExecutorSpec.normalize(executor)
 
 
 def _executor_instance(resolved) -> Tuple[CampaignExecutor, bool]:
@@ -206,12 +136,10 @@ def _executor_instance(resolved) -> Tuple[CampaignExecutor, bool]:
 
 def run_scenarios(
     scenarios: Sequence[Scenario],
-    jobs: int = 1,
     store=None,
     progress: Optional[Callable[[int, int, Scenario], None]] = None,
     experiment: Optional[str] = None,
     cache=None,
-    supervise: Optional[SupervisorConfig] = None,
     manifest=None,
     on_cell_event: Optional[Callable[[Dict[str, Any]], None]] = None,
     executor=None,
@@ -222,15 +150,12 @@ def run_scenarios(
     :class:`~repro.exec.ExecutorSpec`, its compact string form
     (``"pool:4"``, ``"supervised:timeout=30"``,
     ``"distributed:local=2"``), or a live
-    :class:`~repro.exec.CampaignExecutor`.  When omitted, the legacy
-    arguments pick one: ``supervise`` (a :class:`SupervisorConfig`)
-    selects the fault-tolerant executor, otherwise ``jobs <= 1`` runs
-    serially in-process and ``jobs > 1`` fans out over a process pool;
-    ambient :func:`use_executor` / :func:`use_supervisor` contexts fill
-    the same roles (see :func:`resolve_executor` for the precedence).
-    Whatever the backend, the returned list lines up index-for-index
-    with the input, and each result is bit-identical across backends
-    (determinism is per-scenario, not per-schedule).
+    :class:`~repro.exec.CampaignExecutor`.  When omitted, the ambient
+    :func:`use_executor` context picks it, else the grid runs serially
+    in-process (see :func:`resolve_executor`).  Whatever the backend,
+    the returned list lines up index-for-index with the input, and each
+    result is bit-identical across backends (determinism is
+    per-scenario, not per-schedule).
 
     ``store`` — any object with an ``append(RunResult)`` method, e.g. a
     :class:`~repro.api.store.ResultStore` — receives every result as it
@@ -253,13 +178,12 @@ def run_scenarios(
     scenarios = list(scenarios)
     if cache is None:
         cache = active_run_cache()
-    resolved = resolve_executor(jobs, supervise, executor)
+    resolved = resolve_executor(executor)
     if cache is not None and cache is not NO_CACHE:
         return cache.execute(
-            scenarios, jobs=jobs, store=store, progress=progress,
-            experiment=experiment, supervise=supervise,
-            manifest=manifest, on_cell_event=on_cell_event,
-            executor=resolved,
+            scenarios, store=store, progress=progress,
+            experiment=experiment, manifest=manifest,
+            on_cell_event=on_cell_event, executor=resolved,
         )
     instance, owned = _executor_instance(resolved)
     hooks = ExecutionHooks(
@@ -390,43 +314,29 @@ class Campaign:
 
     def run(
         self,
-        jobs: Optional[int] = None,
         store=None,
         progress: Optional[Callable[[int, int, Scenario], None]] = None,
         cache=None,
-        supervise: Optional[SupervisorConfig] = None,
         executor=None,
     ) -> CampaignResult:
         """Execute the whole grid and return the index-aligned results.
 
         ``executor`` — an :class:`~repro.exec.ExecutorSpec`, its compact
-        string form, or a live executor — names the backend outright and
-        cannot be combined with the legacy ``jobs``/``supervise``
-        arguments it replaces.  Without it, ``jobs=None`` falls back to
-        :func:`default_jobs` (the ``REPRO_JOBS`` environment variable,
-        else serial) and ``supervise`` — a :class:`SupervisorConfig` —
-        runs the grid under the fault-tolerant executor (watchdog,
-        retry, quarantine).  ``cache`` — a
-        :class:`repro.service.RunCache` — serves already-stored cells
-        from its result database and simulates only the rest (results
-        are identical either way; see the cache's ``stats``).
+        string form, or a live executor — names the backend; without it
+        the ambient :func:`use_executor` policy applies, else serial.
+        ``cache`` — a :class:`repro.service.RunCache` — serves
+        already-stored cells from its result database and simulates only
+        the rest (results are identical either way; see the cache's
+        ``stats``).
         """
-        if executor is not None and (jobs is not None or supervise is not None):
-            raise ExperimentError(
-                "pass either executor= or the legacy jobs=/supervise= "
-                "arguments, not both — the executor spec already carries "
-                "its own concurrency and fault policy"
-            )
         scenarios = self.scenarios()
         if not scenarios:
             raise ExperimentError("campaign has no scenarios")
         runs = run_scenarios(
             scenarios,
-            jobs=default_jobs() if jobs is None else jobs,
             store=store,
             progress=progress,
             cache=cache,
-            supervise=supervise,
             executor=executor,
         )
         return CampaignResult(scenarios=scenarios, runs=runs)

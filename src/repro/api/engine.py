@@ -1,9 +1,9 @@
 """The simulation engine: one fully specified run in, one record out.
 
 :func:`simulate` is the single choke point every execution path funnels
-through — :meth:`repro.api.Scenario.run`, the :class:`repro.api.Campaign`
-executors (serial and process-pool), and the legacy
-:func:`repro.experiments.run_scenario` shim.  A run is fully specified by
+through — :meth:`repro.api.Scenario.run` and every
+:class:`repro.api.Campaign` executor (serial, pool, supervised,
+distributed).  A run is fully specified by
 ``(NetworkConfig, RunOptions)``; all randomness derives from
 ``config.seed`` via the named-stream :class:`repro.rng.RngRegistry`, so
 the same pair produces a bit-identical :class:`RunResult` in any process,

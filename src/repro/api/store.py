@@ -4,7 +4,7 @@ A :class:`ResultStore` lets a campaign's raw runs outlive the process so
 figures and tables can be re-rendered without re-simulating::
 
     store = ResultStore("results/fig10.jsonl")
-    campaign.run(jobs=8, store=store)
+    campaign.run(executor="pool:8", store=store)
     ...                                  # later / elsewhere
     runs = ResultStore("results/fig10.jsonl").load()
 

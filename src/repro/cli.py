@@ -7,7 +7,7 @@ table, or extension study shows up automatically::
     repro-caem list
     repro-caem run table1
     repro-caem run fig8  --preset quick --seeds 1 2
-    repro-caem run fig10 --preset full --jobs 8 --out results/
+    repro-caem run fig10 --preset full --executor pool:8 --out results/
     repro-caem run fig11 --store runs/fig11.jsonl      # persist raw runs
     repro-caem run fig11 --from runs/fig11.jsonl       # re-render, no sim
     repro-caem run all   --preset quick
@@ -29,20 +29,21 @@ experiments on the structure-of-arrays engine::
 
     repro-caem run ext-scale --backend vector --preset quick
 
-``--jobs N`` fans the experiment's scenario grid out over a process pool
-(tables are identical at any parallelism).  The pre-registry spelling
-``repro-caem fig8 ...`` still works as an alias for ``run fig8 ...``.
+``--executor SPEC`` names how the experiment's scenario grid runs —
+``serial`` (the default), ``pool:N``, ``supervised:timeout=S,retries=N``
+or ``distributed:local=N`` — and tables are identical under every one.
+The pre-registry spelling ``repro-caem fig8 ...`` still works as an
+alias for ``run fig8 ...``.
 (Also available as ``python -m repro ...``.)
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 from typing import List, Optional, Sequence
 
-from .api import get_experiment, list_experiments, use_run_cache
+from .api import get_experiment, list_experiments, use_executor, use_run_cache
 from .api import bench as bench_mod
 from .errors import ExperimentError, ReproError
 
@@ -100,12 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="traffic loads (packets/s per node) for the sweep figures",
     )
     run_p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="parallel simulation processes (results identical to --jobs 1)",
-    )
-    run_p.add_argument(
         "--executor",
         default=None,
         metavar="SPEC",
@@ -113,7 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
         "'supervised:jobs=2,timeout=30,retries=1', or "
         "'distributed:bind=127.0.0.1:8400,local=2' (self-hosts a "
         "coordinator; remote machines join with 'repro-caem worker "
-        "--connect URL'); replaces --jobs, results identical either way",
+        "--connect URL'); results identical under every executor "
+        "(default: serial; with --resume: supervised)",
     )
     run_p.add_argument(
         "--backend",
@@ -159,24 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the missing remainder is simulated (output byte-identical to "
         "an uninterrupted run); progress is checkpointed in a durable "
         "manifest as cells complete",
-    )
-    run_p.add_argument(
-        "--cell-timeout",
-        type=float,
-        default=None,
-        metavar="S",
-        help="fault-tolerant execution: wall-clock watchdog per grid "
-        "cell — a worker exceeding S seconds is killed and retried "
-        "with capped exponential backoff",
-    )
-    run_p.add_argument(
-        "--retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="fault-tolerant execution: retry a crashed/hung/failed "
-        "cell up to N times beyond its first attempt before "
-        "quarantining it (default 2 when supervision is active)",
     )
     run_p.add_argument(
         "--profile",
@@ -250,12 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="concurrent campaign jobs (worker threads)",
-    )
-    serve_p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="default simulation processes per job (the run --jobs pool)",
     )
     serve_p.add_argument(
         "--quiet", action="store_true", help="suppress per-request logging"
@@ -501,7 +473,6 @@ def _cmd_run_body(args: argparse.Namespace) -> int:
             f"itself (--from and --store name the same file)"
         )
     cache = None
-    cache_ctx = contextlib.nullcontext()
     if args.resume:
         if args.from_store:
             raise ExperimentError(
@@ -529,7 +500,6 @@ def _cmd_run_body(args: argparse.Namespace) -> int:
         cache = RunCache(resume_store, manifest=True)
         if not args.cache:
             store = None
-        cache_ctx = use_run_cache(cache)
     elif args.cache:
         if args.from_store:
             raise ExperimentError(
@@ -537,44 +507,18 @@ def _cmd_run_body(args: argparse.Namespace) -> int:
                 "already reads stored cells and simulates only the misses"
             )
         cache = RunCache(open_store(args.cache))
-        cache_ctx = use_run_cache(cache)
-    supervise_ctx = contextlib.nullcontext()
-    if args.executor is not None:
-        from .api import ExecutorSpec, use_executor
-
-        if args.jobs != 1:
-            raise ExperimentError(
-                "--executor and --jobs are mutually exclusive: say "
-                "--executor pool:4 instead of --jobs 4"
-            )
-        executor_spec = ExecutorSpec.parse(args.executor)
-        # The watchdog/retry flags fold into the spec rather than
-        # installing a second (supervised) policy on top of it.
-        if args.cell_timeout is not None:
-            executor_spec = executor_spec.with_(cell_timeout_s=args.cell_timeout)
-        if args.retries is not None:
-            if args.retries < 0:
-                raise ExperimentError("--retries must be >= 0")
-            executor_spec = executor_spec.with_(retries=args.retries)
-        supervise_ctx = use_executor(executor_spec)
-    elif args.resume or args.cell_timeout is not None or args.retries is not None:
-        from .api import SupervisorConfig, use_supervisor
-
-        retries = 2 if args.retries is None else args.retries
-        if retries < 0:
-            raise ExperimentError("--retries must be >= 0")
-        supervise_ctx = use_supervisor(SupervisorConfig(
-            cell_timeout_s=args.cell_timeout,
-            max_attempts=retries + 1,
-        ))
-    with cache_ctx, supervise_ctx:
+    executor = args.executor
+    if executor is None and args.resume:
+        # A resumed campaign is one that crashed before: by default it
+        # runs supervised (process-per-cell, two retries per cell).
+        executor = "supervised"
+    with use_run_cache(cache), use_executor(executor):
         for name in names:
             spec = get_experiment(name)
             figure = spec.run(
                 preset=args.preset,
                 seeds=tuple(args.seeds),
                 loads_pps=tuple(args.loads),
-                jobs=args.jobs,
                 backend=args.backend,
                 profile_rounds=args.profile_rounds,
                 runs=stored_runs,
@@ -606,7 +550,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         workers=args.workers,
-        sim_jobs=args.jobs,
         quiet=args.quiet,
         distributed=args.distributed,
         lease_timeout_s=args.lease_timeout,

@@ -12,7 +12,6 @@ __all__ = [
     "ConfigError",
     "SimulationError",
     "SchedulerError",
-    "ProcessError",
     "ChannelError",
     "PhyError",
     "MacError",
@@ -38,10 +37,6 @@ class SimulationError(ReproError, RuntimeError):
 
 class SchedulerError(SimulationError):
     """Misuse of the event scheduler (e.g. scheduling into the past)."""
-
-
-class ProcessError(SimulationError):
-    """A simulation process was driven incorrectly (bad yield, dead wait)."""
 
 
 class ChannelError(ReproError):

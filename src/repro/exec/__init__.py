@@ -11,14 +11,14 @@ Everything that decides *how* a scenario grid runs lives here:
   :class:`CampaignIncompleteError`);
 * :mod:`~repro.exec.local` — :class:`SerialExecutor` and
   :class:`PoolExecutor` (in-process / process pool);
-* :mod:`~repro.exec.supervised` — :class:`SupervisedExecutor`, the PR 8
-  watchdog/retry/quarantine machinery behind :class:`SupervisorConfig`;
+* :mod:`~repro.exec.supervised` — :class:`SupervisedExecutor`, the
+  process-per-cell watchdog/retry/quarantine executor;
 * :mod:`~repro.exec.board` / :mod:`~repro.exec.coordinator` /
   :mod:`~repro.exec.worker` / :mod:`~repro.exec.distributed` — the
   multi-host work-stealing backend.
 
-``repro.api.campaign`` re-exports the legacy names so existing imports
-keep working; new code should import from here.
+``repro.api`` re-exports :class:`ExecutorSpec`, :func:`use_executor`
+and the failure vocabulary for campaign authors.
 """
 
 from .base import (
@@ -31,7 +31,7 @@ from .base import (
 from .board import LeaseBoard
 from .local import PoolExecutor, SerialExecutor
 from .spec import EXECUTOR_KINDS, ExecutorSpec, active_executor, use_executor
-from .supervised import SupervisedExecutor, SupervisorConfig
+from .supervised import SupervisedExecutor
 
 __all__ = [
     "CampaignExecutor",
@@ -44,7 +44,6 @@ __all__ = [
     "PoolExecutor",
     "SerialExecutor",
     "SupervisedExecutor",
-    "SupervisorConfig",
     "active_executor",
     "get_executor",
     "use_executor",

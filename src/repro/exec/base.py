@@ -202,7 +202,7 @@ def get_executor(spec, board=None) -> CampaignExecutor:
     if kind == "supervised":
         from .supervised import SupervisedExecutor
 
-        return SupervisedExecutor(spec.supervisor(), jobs=spec.jobs)
+        return SupervisedExecutor(spec)
     if kind == "distributed":
         from .distributed import DistributedExecutor
 

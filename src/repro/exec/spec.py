@@ -1,12 +1,8 @@
-"""``ExecutorSpec``: one value that names *how* a campaign executes.
+"""``ExecutorSpec``: the one value that names *how* a campaign executes.
 
-Before this existed, execution policy was scattered across three
-spellings — ``jobs=N`` picked serial vs process-pool,
-``SupervisorConfig``/``use_supervisor`` switched on fault tolerance, and
-the CLI grew a flag per knob.  An :class:`ExecutorSpec` collapses all of
-it into one declarative record that travels everywhere a campaign does:
+A spec is a declarative record that travels everywhere a campaign does:
 ``Campaign.run(executor=...)``, ``run_scenarios(executor=...)``, the CLI
-``--executor`` flag, and the campaign server's JSON specs.
+``--executor`` flag, and the campaign server's ``"executor"`` key.
 
 The four kinds::
 
@@ -22,12 +18,9 @@ The four kinds::
 Each has a compact string form for the CLI and JSON specs —
 ``"serial"``, ``"pool:4"``, ``"supervised:jobs=2,timeout=30,retries=1"``,
 ``"distributed:bind=127.0.0.1:8400,local=2"`` — parsed by
-:meth:`ExecutorSpec.parse`.
-
-The legacy spellings keep working: :meth:`ExecutorSpec.from_legacy` maps
-``(jobs, supervise)`` onto the equivalent spec, and the old keyword
-arguments remain accepted (and equivalence-tested) everywhere they were
-before.
+:meth:`ExecutorSpec.parse`.  Mistyped values (``"jobs": "4"``,
+``"allow_partial": "no"``, ``partial=ture``) are rejected with an
+:class:`~repro.errors.ExperimentError`, never guessed at.
 
 :func:`use_executor` installs a spec (or a live executor) ambiently —
 the same ContextVar pattern as ``use_run_cache`` — so the CLI's
@@ -40,6 +33,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import dataclasses
+import random
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple, Union
 
@@ -70,9 +64,17 @@ _PARSE_ALIASES = {
     "local_workers": "local_workers",
 }
 
-_FLOAT_FIELDS = ("cell_timeout_s", "lease_timeout_s")
+_FLOAT_FIELDS = ("cell_timeout_s", "lease_timeout_s",
+                 "backoff_base_s", "backoff_cap_s")
 _INT_FIELDS = ("jobs", "retries", "seed", "local_workers")
 _BOOL_FIELDS = ("allow_partial",)
+#: Fields where ``None`` means "the kind's default".
+_OPTIONAL_FIELDS = ("cell_timeout_s", "retries")
+#: Spellings :meth:`ExecutorSpec.parse` accepts for a boolean option.
+_BOOL_WORDS = {
+    "true": True, "1": True, "yes": True, "on": True,
+    "false": False, "0": False, "no": False, "off": False,
+}
 
 
 @dataclass(frozen=True)
@@ -115,6 +117,8 @@ class ExecutorSpec:
     local_workers: int = 0
 
     def __post_init__(self) -> None:
+        for field in dataclasses.fields(self):
+            _check_type(field.name, getattr(self, field.name))
         if self.kind not in EXECUTOR_KINDS:
             raise ExperimentError(
                 f"unknown executor kind {self.kind!r}; "
@@ -130,6 +134,8 @@ class ExecutorSpec:
             raise ExperimentError("lease_timeout_s must be > 0")
         if self.local_workers < 0:
             raise ExperimentError("local_workers must be >= 0")
+        if self.backoff_base_s < 0 or self.backoff_cap_s < 0:
+            raise ExperimentError("backoff delays must be >= 0")
 
     # -- derived views ---------------------------------------------------------
 
@@ -138,22 +144,21 @@ class ExecutorSpec:
         """Total attempts per cell (first try + retries)."""
         return (2 if self.retries is None else self.retries) + 1
 
-    def supervisor(self):
-        """The :class:`SupervisorConfig` equivalent (supervised kind)."""
-        from .supervised import SupervisorConfig
+    def backoff_delay(self, index: int, attempt: int) -> float:
+        """The deterministic retry delay after ``attempt`` of cell
+        ``index`` failed (supervised).
 
-        return SupervisorConfig(
-            cell_timeout_s=self.cell_timeout_s,
-            max_attempts=self.max_attempts,
-            backoff_base_s=self.backoff_base_s,
-            backoff_cap_s=self.backoff_cap_s,
-            seed=self.seed,
-            allow_partial=self.allow_partial,
+        Capped exponential with jitter in [50%, 100%] of the nominal
+        delay; a pure function of ``(seed, index, attempt)`` so recovery
+        schedules replay identically in tests.
+        """
+        nominal = min(
+            self.backoff_cap_s, self.backoff_base_s * (2 ** (attempt - 1))
         )
-
-    def with_(self, **changes: Any) -> "ExecutorSpec":
-        """A copy with fields replaced (validation re-runs)."""
-        return dataclasses.replace(self, **changes)
+        rng = random.Random(
+            self.seed * 1_000_003 + index * 10_007 + attempt
+        )
+        return nominal * (0.5 + rng.random() / 2)
 
     def bind_address(self) -> Tuple[str, int]:
         host, _, port = self.bind.rpartition(":")
@@ -221,7 +226,8 @@ class ExecutorSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ExecutorSpec":
-        """Build from a JSON object (unknown keys rejected loudly)."""
+        """Build from a JSON object (unknown keys and mistyped values
+        rejected loudly)."""
         known = {f.name for f in dataclasses.fields(cls)}
         bad = set(data) - known
         if bad:
@@ -230,32 +236,6 @@ class ExecutorSpec:
                 f"{sorted(known)}"
             )
         return cls(**data)
-
-    @classmethod
-    def from_legacy(
-        cls, jobs: int = 1, supervise=None
-    ) -> "ExecutorSpec":
-        """Map the pre-spec ``(jobs, supervise)`` spelling onto a spec.
-
-        This is the deprecation shim behind ``Campaign.run(jobs=...,
-        supervise=...)`` and ``run_scenarios(jobs=..., supervise=...)``:
-        exactly the executor those arguments always selected, now as a
-        value.
-        """
-        if supervise is not None:
-            return cls(
-                kind="supervised",
-                jobs=max(1, jobs),
-                cell_timeout_s=supervise.cell_timeout_s,
-                retries=supervise.max_attempts - 1,
-                backoff_base_s=supervise.backoff_base_s,
-                backoff_cap_s=supervise.backoff_cap_s,
-                seed=supervise.seed,
-                allow_partial=supervise.allow_partial,
-            )
-        if jobs > 1:
-            return cls(kind="pool", jobs=jobs)
-        return cls(kind="serial")
 
     # -- serialisation ---------------------------------------------------------
 
@@ -286,18 +266,37 @@ class ExecutorSpec:
 
 
 def _coerce(field: str, value: str) -> Any:
+    """A compact-form option's text as its field's type."""
     try:
         if field in _INT_FIELDS:
             return int(value)
         if field in _FLOAT_FIELDS:
             return float(value)
         if field in _BOOL_FIELDS:
-            return value.lower() in ("1", "true", "yes", "on")
-    except ValueError:
+            return _BOOL_WORDS[value.lower()]
+    except (KeyError, ValueError):
         raise ExperimentError(
             f"bad value {value!r} for executor option {field!r}"
         ) from None
     return value
+
+
+def _check_type(field: str, value: Any) -> None:
+    """Reject a field value of the wrong JSON type (bools are not ints)."""
+    if value is None and field in _OPTIONAL_FIELDS:
+        return
+    if field in _INT_FIELDS:
+        ok, expected = isinstance(value, int), "an integer"
+    elif field in _FLOAT_FIELDS:
+        ok, expected = isinstance(value, (int, float)), "a number"
+    elif field in _BOOL_FIELDS:
+        ok, expected = isinstance(value, bool), "true or false"
+    else:
+        ok, expected = isinstance(value, str), "a string"
+    if not ok or (isinstance(value, bool) and field not in _BOOL_FIELDS):
+        raise ExperimentError(
+            f"executor field {field!r} must be {expected}, got {value!r}"
+        )
 
 
 #: The ambient executor (see :func:`use_executor`): an ExecutorSpec or a

@@ -19,70 +19,15 @@ from __future__ import annotations
 
 import heapq
 import os
-import random
 import time
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import ExperimentError
 from .base import CampaignExecutor, CellFailure, ExecutionHooks
 from .local import execute_scenario
+from .spec import ExecutorSpec
 
-__all__ = ["SupervisorConfig", "SupervisedExecutor"]
-
-
-@dataclass(frozen=True)
-class SupervisorConfig:
-    """Fault-tolerant execution policy (the supervised executor's knobs).
-
-    When a supervisor is active, every grid cell runs in its **own
-    worker process** under a wall-clock watchdog: a worker that crashes
-    (any hard death — segfault, OOM kill, injected ``os._exit``), raises,
-    or exceeds ``cell_timeout_s`` is retried with capped exponential
-    backoff (+deterministic jitter, so tests replay exactly), up to
-    ``max_attempts`` total attempts.  A cell that exhausts its attempts
-    is *quarantined*: recorded (with its traceback) in the campaign
-    manifest when one is attached, and either reported via
-    :class:`~repro.exec.base.CampaignIncompleteError` (the default) or
-    returned as a ``None`` slot when ``allow_partial`` — never silently
-    dropped, never an infinite hang.
-    """
-
-    #: Per-cell wall-clock watchdog; ``None`` = no timeout.
-    cell_timeout_s: Optional[float] = None
-    #: Total attempts per cell (first try + retries).
-    max_attempts: int = 3
-    #: First retry delay; doubles per retry up to :attr:`backoff_cap_s`.
-    backoff_base_s: float = 0.25
-    backoff_cap_s: float = 8.0
-    #: Seed for the deterministic backoff jitter.
-    seed: int = 0
-    #: Return ``None`` slots for quarantined cells instead of raising.
-    allow_partial: bool = False
-
-    def __post_init__(self) -> None:
-        if self.cell_timeout_s is not None and self.cell_timeout_s <= 0:
-            raise ExperimentError("cell_timeout_s must be > 0 (or None)")
-        if self.max_attempts < 1:
-            raise ExperimentError("max_attempts must be >= 1")
-        if self.backoff_base_s < 0 or self.backoff_cap_s < 0:
-            raise ExperimentError("backoff delays must be >= 0")
-
-    def backoff_delay(self, index: int, attempt: int) -> float:
-        """The deterministic retry delay after ``attempt`` failed.
-
-        Capped exponential with jitter in [50%, 100%] of the nominal
-        delay; a pure function of ``(seed, index, attempt)`` so recovery
-        schedules replay identically in tests.
-        """
-        nominal = min(
-            self.backoff_cap_s, self.backoff_base_s * (2 ** (attempt - 1))
-        )
-        rng = random.Random(
-            self.seed * 1_000_003 + index * 10_007 + attempt
-        )
-        return nominal * (0.5 + rng.random() / 2)
+__all__ = ["SupervisedExecutor"]
 
 
 def _supervised_child(conn, scenario, attempt: int) -> None:
@@ -132,17 +77,22 @@ def consult_worker_faults(scenario, attempt: int) -> None:
 
 
 class SupervisedExecutor(CampaignExecutor):
-    """Watchdog + retry + quarantine over process-per-cell workers."""
+    """Watchdog + retry + quarantine over process-per-cell workers.
+
+    The policy is the spec's: ``jobs`` concurrent workers, a
+    ``cell_timeout_s`` watchdog, ``max_attempts`` per cell with
+    :meth:`~repro.exec.spec.ExecutorSpec.backoff_delay` between them,
+    and ``allow_partial`` for ``None`` slots instead of raising.
+    """
 
     kind = "supervised"
 
-    def __init__(self, config: SupervisorConfig, jobs: int = 1):
-        self.config = config
-        self.jobs = max(1, jobs)
+    def __init__(self, spec: ExecutorSpec):
+        self.spec = spec
 
     @property
     def allow_partial(self) -> bool:
-        return self.config.allow_partial
+        return self.spec.allow_partial
 
     def execute(
         self,
@@ -155,7 +105,7 @@ class SupervisedExecutor(CampaignExecutor):
         from ..api.engine import import_engines
 
         hooks = hooks or ExecutionHooks()
-        supervise = self.config
+        spec = self.spec
         ctx = mp.get_context()
         scenarios = list(scenarios)
         # Every attempt forks a fresh child: import the engine once here,
@@ -170,7 +120,7 @@ class SupervisedExecutor(CampaignExecutor):
         delayed: List[Tuple[float, int]] = []  # (not_before, index) heap
         active: Dict[Any, Dict[str, Any]] = {}  # recv-conn -> task
         flushed = 0
-        workers = self.jobs
+        workers = spec.jobs
 
         def flush() -> None:
             """Advance the settled prefix: persist + report in grid order."""
@@ -192,8 +142,8 @@ class SupervisedExecutor(CampaignExecutor):
             proc.start()
             send_conn.close()
             deadline = (
-                time.monotonic() + supervise.cell_timeout_s
-                if supervise.cell_timeout_s is not None
+                time.monotonic() + spec.cell_timeout_s
+                if spec.cell_timeout_s is not None
                 else None
             )
             active[recv_conn] = {"index": index, "proc": proc,
@@ -213,14 +163,14 @@ class SupervisedExecutor(CampaignExecutor):
             flush()
 
         def settle_fail(index: int, error_text: str, kind: str) -> None:
-            if attempts[index] < supervise.max_attempts:
-                delay = supervise.backoff_delay(index, attempts[index])
+            if attempts[index] < spec.max_attempts:
+                delay = spec.backoff_delay(index, attempts[index])
                 hooks.emit({
                     "type": "retry",
                     "index": index,
                     "total": total,
                     "attempt": attempts[index],
-                    "max_attempts": supervise.max_attempts,
+                    "max_attempts": spec.max_attempts,
                     "delay_s": delay,
                     "kind": kind,
                 })
@@ -304,7 +254,7 @@ class SupervisedExecutor(CampaignExecutor):
                     settle_fail(
                         task["index"],
                         f"cell exceeded the wall-clock watchdog "
-                        f"({supervise.cell_timeout_s:g}s) on attempt "
+                        f"({spec.cell_timeout_s:g}s) on attempt "
                         f"{attempts[task['index']]} and was killed",
                         "timeout",
                     )

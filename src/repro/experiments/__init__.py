@@ -1,4 +1,4 @@
-"""Experiment harness: presets, the paper's figures/tables, legacy shims.
+"""Experiment harness: presets and the paper's figures/tables.
 
 The figures and tables defined here are published through the
 :mod:`repro.api` experiment registry — decorate any new study with
@@ -6,11 +6,10 @@ The figures and tables defined here are published through the
 ``repro-caem list`` / ``repro-caem run <name>`` alongside the built-ins
 (fig8–fig12, table1–table2, ext-perf).  Execution goes through
 :class:`repro.api.Scenario` grids and :func:`repro.api.run_scenarios`,
-so every experiment accepts ``jobs=N`` for process-pool fan-out and
+so every experiment runs under whatever executor the caller installed
+with :func:`repro.api.use_executor` (serial when none is), and accepts
 ``runs=`` for re-rendering from a :class:`repro.api.ResultStore`.
-
-:func:`run_scenario` and :func:`sweep` remain as thin compatibility
-shims over the :mod:`repro.api` engine for pre-registry callers.
+A single run goes through :func:`repro.api.simulate`.
 """
 
 from .figures import (
@@ -25,8 +24,6 @@ from .figures import (
 )
 from .presets import PRESETS, Preset, get_preset, preset_config
 from .report import render_table, write_csv
-from .runner import RunResult, run_scenario
-from .sweep import SweepPoint, SweepResult, sweep
 from .dynamics import ext_dynamics
 from .tables import table1_tone_spec, table2_parameters
 from .uplink import ext_uplink
@@ -46,11 +43,6 @@ __all__ = [
     "preset_config",
     "render_table",
     "write_csv",
-    "RunResult",
-    "run_scenario",
-    "SweepPoint",
-    "SweepResult",
-    "sweep",
     "table1_tone_spec",
     "table2_parameters",
     "ext_uplink",

@@ -11,8 +11,8 @@ churn-aware ``delivery_rate_offered``), the first-failure time, what the
 surviving nodes actually sustained (``survivor_throughput_bps``), and
 the churn-aware network lifetime.
 
-Like every figure, the run grid is bit-identical at any ``--jobs``
-parallelism and can be persisted/re-rendered through a ResultStore.
+Like every figure, the run grid is bit-identical under every
+``--executor`` and can be persisted/re-rendered through a ResultStore.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ def ext_dynamics(
     preset: str = "quick",
     seeds: Sequence[int] = (1,),
     churn_rates_hz: Sequence[float] = DEFAULT_CHURN_RATES_HZ,
-    jobs: int = 1,
     runs: Optional[Sequence[RunResult]] = None,
 ) -> FigureResult:
     """Delivery/lifetime surface of the three protocols under churn."""
@@ -90,7 +89,7 @@ def ext_dynamics(
         for churn in churn_rates_hz
         for seed in seeds
     ]
-    result.runs = _resolve_runs(scenarios, jobs, runs, result.figure_id)
+    result.runs = _resolve_runs(scenarios, runs, result.figure_id)
 
     it = iter(result.runs)
     for proto in _PROTOCOLS:

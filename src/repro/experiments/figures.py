@@ -9,9 +9,9 @@ quick preset.
 
 Every figure is now a plan/execute/assemble pipeline on :mod:`repro.api`:
 it expands its protocol × load × seed grid into :class:`Scenario` objects,
-executes them through :func:`repro.api.run_scenarios` (pass ``jobs=N`` to
-fan out over a process pool — the table is bit-identical at any
-parallelism), and assembles the table from the index-aligned
+executes them through :func:`repro.api.run_scenarios` (under the ambient
+:func:`repro.api.use_executor` policy — the table is bit-identical at
+any parallelism), and assembles the table from the index-aligned
 :class:`RunResult` records.  Pass ``runs=`` (e.g. loaded from a
 :class:`repro.api.ResultStore`) to re-render a table without
 re-simulating.
@@ -121,7 +121,6 @@ def _scenario(tier: Preset, proto: Protocol, load: float, seed: int,
 
 def _resolve_runs(
     scenarios: Sequence[Scenario],
-    jobs: int,
     runs: Optional[Sequence[RunResult]],
     experiment_id: str,
 ) -> List[RunResult]:
@@ -137,7 +136,7 @@ def _resolve_runs(
     on the first hole.
     """
     if runs is None:
-        return run_scenarios(scenarios, jobs=jobs, experiment=experiment_id)
+        return run_scenarios(scenarios, experiment=experiment_id)
     paired, missing = pair_stored_runs(scenarios, runs, experiment_id)
     if missing:
         cells = "\n".join(f"  - {describe_key(key)}" for key in missing)
@@ -162,7 +161,6 @@ def fig8_remaining_energy(
     preset: str = "quick",
     seeds: Sequence[int] = (1,),
     load_pps: float = 5.0,
-    jobs: int = 1,
     runs: Optional[Sequence[RunResult]] = None,
 ) -> FigureResult:
     """"Figure 8 shows the average remaining energy in each sensor with
@@ -184,7 +182,7 @@ def fig8_remaining_energy(
         for proto in _PROTOCOLS
         for seed in seeds
     ]
-    result.runs = _resolve_runs(scenarios, jobs, runs, result.figure_id)
+    result.runs = _resolve_runs(scenarios, runs, result.figure_id)
 
     columns: Dict[Protocol, List[float]] = {}
     times: List[float] = []
@@ -214,7 +212,6 @@ def fig9_nodes_alive(
     preset: str = "quick",
     seeds: Sequence[int] = (1,),
     load_pps: float = 5.0,
-    jobs: int = 1,
     runs: Optional[Sequence[RunResult]] = None,
 ) -> FigureResult:
     """"we are also interested in the number of sensor nodes alive versus
@@ -232,7 +229,7 @@ def fig9_nodes_alive(
         for proto in _PROTOCOLS
         for seed in seeds
     ]
-    result.runs = _resolve_runs(scenarios, jobs, runs, result.figure_id)
+    result.runs = _resolve_runs(scenarios, runs, result.figure_id)
 
     columns: Dict[Protocol, List[float]] = {}
     lifetimes: Dict[Protocol, List[Optional[float]]] = {p: [] for p in _PROTOCOLS}
@@ -290,7 +287,6 @@ def fig10_lifetime_vs_load(
     preset: str = "quick",
     seeds: Sequence[int] = (1,),
     loads_pps: Sequence[float] = DEFAULT_LOADS_PPS,
-    jobs: int = 1,
     runs: Optional[Sequence[RunResult]] = None,
 ) -> FigureResult:
     """"we further increase the traffic load until the network gets
@@ -310,7 +306,7 @@ def fig10_lifetime_vs_load(
         for proto in _PROTOCOLS
         for seed in seeds
     ]
-    result.runs = _resolve_runs(scenarios, jobs, runs, result.figure_id)
+    result.runs = _resolve_runs(scenarios, runs, result.figure_id)
 
     it = iter(result.runs)
     for load in loads_pps:
@@ -333,7 +329,6 @@ def fig11_energy_per_packet(
     preset: str = "quick",
     seeds: Sequence[int] = (1,),
     loads_pps: Sequence[float] = DEFAULT_LOADS_PPS,
-    jobs: int = 1,
     runs: Optional[Sequence[RunResult]] = None,
 ) -> FigureResult:
     """"One important metric ... is average energy consumed for
@@ -354,7 +349,7 @@ def fig11_energy_per_packet(
         for proto in _PROTOCOLS
         for seed in seeds
     ]
-    result.runs = _resolve_runs(scenarios, jobs, runs, result.figure_id)
+    result.runs = _resolve_runs(scenarios, runs, result.figure_id)
 
     it = iter(result.runs)
     for load in loads_pps:
@@ -388,7 +383,6 @@ def fig12_queue_stddev(
     seeds: Sequence[int] = (1,),
     loads_pps: Sequence[float] = DEFAULT_LOADS_PPS,
     warmup_fraction: float = 0.25,
-    jobs: int = 1,
     runs: Optional[Sequence[RunResult]] = None,
 ) -> FigureResult:
     """"we have set the buffer size to be substantially large enough to
@@ -410,7 +404,7 @@ def fig12_queue_stddev(
         for proto in _PROTOCOLS
         for seed in seeds
     ]
-    result.runs = _resolve_runs(scenarios, jobs, runs, result.figure_id)
+    result.runs = _resolve_runs(scenarios, runs, result.figure_id)
 
     it = iter(result.runs)
     for load in loads_pps:
@@ -438,7 +432,6 @@ def ext_performance(
     preset: str = "quick",
     seeds: Sequence[int] = (1,),
     loads_pps: Sequence[float] = DEFAULT_LOADS_PPS,
-    jobs: int = 1,
     runs: Optional[Sequence[RunResult]] = None,
 ) -> FigureResult:
     """Delay / aggregate throughput / delivery rate versus load — the
@@ -463,7 +456,7 @@ def ext_performance(
         for proto in _PROTOCOLS
         for seed in seeds
     ]
-    result.runs = _resolve_runs(scenarios, jobs, runs, result.figure_id)
+    result.runs = _resolve_runs(scenarios, runs, result.figure_id)
 
     it = iter(result.runs)
     for load in loads_pps:

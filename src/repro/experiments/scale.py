@@ -14,7 +14,7 @@ and the link/MAC reuse pools are on (as everywhere — they are
 output-neutral), and the memory-bounded stats knobs are set
 (``ScaleConfig.max_delay_samples`` reservoir + series decimation), so a
 sweep cell never grows unbounded state.  Everything reported except the
-wall-time columns is bit-identical at any ``--jobs`` parallelism and
+wall-time columns is bit-identical under every ``--executor`` and
 round-trips through a ResultStore; wall times are measurements of this
 machine, stored with the run.
 """
@@ -114,7 +114,6 @@ def ext_scale(
     preset: str = "quick",
     seeds: Sequence[int] = (1,),
     node_counts: Optional[Sequence[int]] = None,
-    jobs: int = 1,
     backend: str = "event",
     profile_rounds: Optional[str] = None,
     runs: Optional[Sequence[RunResult]] = None,
@@ -167,7 +166,7 @@ def ext_scale(
         for n in node_counts
         for seed in seeds
     ]
-    result.runs = _resolve_runs(scenarios, jobs, runs, result.figure_id)
+    result.runs = _resolve_runs(scenarios, runs, result.figure_id)
 
     it = iter(result.runs)
     for proto in _PROTOCOLS:

@@ -8,8 +8,8 @@ reports the uplink's cost surface: end-to-end delay distribution markers
 (the delay-CDF summary), radio hop counts, the uplink share of the energy
 ledger, and the resulting network lifetime.
 
-Like every figure, the run grid is bit-identical at any ``--jobs``
-parallelism and can be persisted/re-rendered through a ResultStore.
+Like every figure, the run grid is bit-identical under every
+``--executor`` and can be persisted/re-rendered through a ResultStore.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ def ext_uplink(
     seeds: Sequence[int] = (1,),
     sink_offsets_m: Sequence[float] = DEFAULT_SINK_OFFSETS_M,
     modes: Sequence[str] = DEFAULT_RELAY_MODES,
-    jobs: int = 1,
     runs: Optional[Sequence[RunResult]] = None,
 ) -> FigureResult:
     """Delay/hop/energy/lifetime surface of the routed head→sink uplink."""
@@ -81,7 +80,7 @@ def ext_uplink(
         for offset in sink_offsets_m
         for seed in seeds
     ]
-    result.runs = _resolve_runs(scenarios, jobs, runs, result.figure_id)
+    result.runs = _resolve_runs(scenarios, runs, result.figure_id)
 
     it = iter(result.runs)
     for mode in modes:

@@ -122,11 +122,9 @@ class RunCache:
     def execute(
         self,
         scenarios: Sequence,
-        jobs: int = 1,
         store=None,
         progress=None,
         experiment: Optional[str] = None,
-        supervise=None,
         manifest=None,
         on_cell_event=None,
         executor=None,
@@ -141,16 +139,16 @@ class RunCache:
         result in grid order.
 
         ``executor`` (anything :func:`repro.api.campaign.resolve_executor`
-        accepts; ``None`` consults the legacy ``supervise`` argument and
-        the ambient contexts) names the backend the misses run under —
-        the cache itself is backend-agnostic.  With ``manifest=True`` on
+        accepts; ``None`` consults the ambient :func:`~repro.api.use_executor`,
+        else serial) names the backend the misses run under — the cache
+        itself is backend-agnostic.  With ``manifest=True`` on
         the cache (or an explicit ``manifest`` ledger) every cell's
         progress is checkpointed durably — hits are marked done
         immediately, simulated misses record done/attempts/quarantines —
         which is what ``--resume`` reads back.
         """
         scenarios = list(scenarios)
-        executor = _campaign.resolve_executor(jobs, supervise, executor)
+        executor = _campaign.resolve_executor(executor)
         if manifest is None and self.keep_manifest:
             from .manifest import manifest_for_store
 

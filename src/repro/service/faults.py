@@ -17,7 +17,7 @@ that campaign execution survives the failures the supervisor
 Faults are **deterministic**: every decision is a pure function of
 ``(seed, site, key)`` — no RNG state, no ordering sensitivity — so a
 test that injects a crash at cell X sees that crash at cell X on every
-run, in every process, at any ``--jobs``.  Retries pass a fresh attempt
+run, in every process, under any ``--executor``.  Retries pass a fresh attempt
 number in the key, so "crash on attempt 1, succeed on attempt 2" is a
 reproducible scenario rather than a coin flip.
 
@@ -25,7 +25,8 @@ Activation is by environment variable so the fault plan crosses process
 boundaries into supervised worker children::
 
     REPRO_FAULTS='{"seed": 7, "worker_crash_rate": 0.3}' \
-        repro-caem run fig8 --store runs.sqlite --resume --retries 5
+        repro-caem run fig8 --store runs.sqlite --resume \
+            --executor supervised:retries=5
 
 or, in-process and scoped, via :func:`inject_faults` (which also sets
 the environment variable so spawned workers inherit the plan)::

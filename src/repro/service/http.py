@@ -94,7 +94,6 @@ def build_server(
     host: str = "127.0.0.1",
     port: int = 8351,
     workers: int = 1,
-    sim_jobs: int = 1,
     quiet: bool = False,
     distributed: bool = False,
     lease_timeout_s: float = 30.0,
@@ -113,7 +112,7 @@ def build_server(
         from ..exec.board import LeaseBoard
 
         board = LeaseBoard(lease_timeout_s=lease_timeout_s)
-    manager = JobManager(db, workers=workers, sim_jobs=sim_jobs, board=board)
+    manager = JobManager(db, workers=workers, board=board)
     return CampaignServer((host, port), db, manager, quiet=quiet, board=board)
 
 

@@ -3,16 +3,16 @@
 A :class:`JobManager` owns a FIFO of submitted campaign specs and a small
 pool of worker threads.  Each worker executes one job at a time through
 the content-addressed :class:`~repro.service.cache.RunCache` (so
-resubmitting a finished campaign is pure reads) and the existing
-``--jobs`` process-pool executor (``run_scenarios``), appending every
+resubmitting a finished campaign is pure reads) under the executor the
+spec's ``"executor"`` key names (serial when absent), appending every
 simulated row to the shared result database.
 
 Two spec shapes are accepted (JSON over the HTTP API, or dicts in
 process):
 
 * **experiment spec** — ``{"experiment": "fig8", "preset": "smoke",
-  "seeds": [1, 2], "loads": [5, 15], "jobs": 2}`` runs a registered
-  experiment and retains its rendered figure;
+  "seeds": [1, 2], "loads": [5, 15], "executor": "pool:2"}`` runs a
+  registered experiment and retains its rendered figure;
 * **grid spec** — ``{"preset": "smoke", "axes": {"protocol":
   ["pure_leach", "scheme1"], "load_pps": [5.0]}, "seeds": [1],
   "horizon_s": 6.0}`` runs an ad-hoc :class:`~repro.api.Campaign`.
@@ -25,7 +25,6 @@ an NDJSON stream.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import queue
 import threading
@@ -39,11 +38,9 @@ from ..api import (
     CampaignIncompleteError,
     ExecutorSpec,
     Scenario,
-    SupervisorConfig,
     get_experiment,
     use_executor,
     use_run_cache,
-    use_supervisor,
 )
 from ..errors import ExperimentError
 from ..exec.base import get_executor
@@ -53,6 +50,15 @@ from .db import DbResultStore
 __all__ = ["JobRecord", "JobManager"]
 
 _TERMINAL = ("done", "failed", "incomplete", "aborted")
+
+#: Spec keys that named an execution policy before ``"executor"`` did,
+#: each with the ``"executor"`` spelling that replaces it.
+_REMOVED_KEYS = {
+    "jobs": '"executor": "pool:N"',
+    "supervise": '"executor": "supervised"',
+    "cell_timeout_s": '"executor": "supervised:timeout=S"',
+    "max_attempts": '"executor": "supervised:retries=<max_attempts - 1>"',
+}
 
 
 @dataclass
@@ -190,15 +196,11 @@ class JobManager:
         self,
         db: DbResultStore,
         workers: int = 1,
-        sim_jobs: int = 1,
         board=None,
     ):
         if workers < 1:
             raise ExperimentError("JobManager needs at least one worker")
         self.db = db
-        #: Parallelism handed to run_scenarios for each job's misses —
-        #: the existing ``--jobs`` process-pool executor, reused.
-        self.sim_jobs = max(1, sim_jobs)
         #: The distributed lease board (``serve --distributed``): jobs
         #: whose spec asks for the distributed executor attach to this
         #: instead of self-hosting a coordinator, and remote workers
@@ -288,27 +290,28 @@ class JobManager:
 
     # -- execution -------------------------------------------------------------
 
-    def _executor_for(self, spec: Dict[str, Any]) -> Optional[ExecutorSpec]:
-        """The :class:`ExecutorSpec` a job spec asks for, or ``None``.
+    def _executor_for(self, spec: Dict[str, Any]) -> ExecutorSpec:
+        """The :class:`ExecutorSpec` a job spec asks for (serial if none).
 
         ``{"executor": "pool:4"}`` / ``{"executor": {"kind":
-        "supervised", "retries": 1}}`` is the one spelling; the legacy
-        ``supervise``/``cell_timeout_s``/``max_attempts`` keys keep
-        working through :meth:`_supervisor_for` (and cannot be combined
-        with ``executor`` — the spec already carries that policy).  A
-        distributed request requires the server to own a lease board
-        (``serve --distributed``); rejecting it here fails the submitting
-        HTTP request instead of a background job.
+        "supervised", "retries": 1}}`` is the one spelling; the keys it
+        replaced (``jobs``, ``supervise``, ``cell_timeout_s``,
+        ``max_attempts``) are rejected with the spelling to use instead,
+        rather than silently running another policy.  A distributed
+        request requires the server to own a lease board (``serve
+        --distributed``).  Rejecting here fails the submitting HTTP
+        request instead of a background job.
         """
-        if "executor" not in spec:
-            return None
-        if any(spec.get(k) for k in ("supervise", "cell_timeout_s",
-                                     "max_attempts")):
-            raise ExperimentError(
-                "campaign spec has both 'executor' and legacy supervision "
-                "keys; the executor spec already carries the fault policy"
+        removed = [key for key in _REMOVED_KEYS if key in spec]
+        if removed:
+            hints = ", ".join(
+                f"{key!r} -> {{{_REMOVED_KEYS[key]}}}" for key in removed
             )
-        executor = ExecutorSpec.normalize(spec["executor"])
+            raise ExperimentError(
+                f"campaign spec keys {removed} were removed: name the "
+                f'execution policy with the "executor" key ({hints})'
+            )
+        executor = ExecutorSpec.normalize(spec.get("executor", "serial"))
         if executor.kind == "distributed" and self.board is None:
             raise ExperimentError(
                 "spec asks for the distributed executor but this server "
@@ -318,36 +321,10 @@ class JobManager:
         return executor
 
     @staticmethod
-    def _supervisor_for(spec: Dict[str, Any]) -> Optional[SupervisorConfig]:
-        """The fault-tolerance policy a spec asks for, or ``None``.
-
-        Supervision is opt-in per job: any of ``supervise`` (truthy),
-        ``cell_timeout_s``, or ``max_attempts`` switches the job's cells
-        to the watchdog/retry/quarantine executor.  Quarantined cells
-        surface as :class:`~repro.api.CampaignIncompleteError`, which
-        ``_run_job`` converts to an explicit ``incomplete`` terminal
-        status — never a silent partial figure.
-        """
-        keys = ("supervise", "cell_timeout_s", "max_attempts")
-        if not any(spec.get(key) for key in keys):
-            return None
-        try:
-            timeout = spec.get("cell_timeout_s")
-            return SupervisorConfig(
-                cell_timeout_s=float(timeout) if timeout is not None else None,
-                max_attempts=int(spec.get("max_attempts", 3)),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ExperimentError(
-                f"bad supervision settings in campaign spec: {exc}"
-            ) from None
-
-    @staticmethod
     def _build_plan(spec: Dict[str, Any]) -> Dict[str, Any]:
         """Normalise/validate a spec into an execution plan."""
         if not isinstance(spec, dict):
             raise ExperimentError("campaign spec must be a JSON object")
-        JobManager._supervisor_for(spec)  # fail fast on bad settings
         if "experiment" in spec:
             name = spec["experiment"]
             get_experiment(name)  # raises with the known-names list
@@ -407,24 +384,13 @@ class JobManager:
     def _run_job(self, record: JobRecord) -> None:
         spec = record.spec
         plan = self._build_plan(spec)
-        executor_spec = self._executor_for(spec)
-        supervise = None if executor_spec is not None \
-            else self._supervisor_for(spec)
         cache = RunCache(self.db, on_event=record.emit, manifest=True)
-        if executor_spec is not None:
-            # Instantiated here (not inside use_executor) so a
-            # distributed job attaches to the server's shared lease
-            # board; closed in the finally below.
-            executor = get_executor(executor_spec, board=self.board)
-            execution = use_executor(executor)
-        else:
-            executor = None
-            execution = (
-                use_supervisor(supervise) if supervise is not None
-                else contextlib.nullcontext()
-            )
+        # Instantiated here (not inside use_executor) so a distributed
+        # job attaches to the server's shared lease board; closed in the
+        # finally below.
+        executor = get_executor(self._executor_for(spec), board=self.board)
         try:
-            with use_run_cache(cache), execution:
+            with use_run_cache(cache), use_executor(executor):
                 if plan["kind"] == "experiment":
                     exp = get_experiment(plan["name"])
                     figure = exp.run(
@@ -434,11 +400,10 @@ class JobManager:
                             tuple(float(v) for v in spec["loads"])
                             if spec.get("loads") else None
                         ),
-                        jobs=int(spec.get("jobs", self.sim_jobs)),
                     )
                     record.figure_text = figure.render()
                 else:
-                    plan["campaign"].run(jobs=int(spec.get("jobs", self.sim_jobs)))
+                    plan["campaign"].run()
         except CampaignIncompleteError as exc:
             # Quarantined cells: an explicit partial outcome, not a crash.
             # Completed cells are already persisted; resubmitting the same
@@ -457,7 +422,6 @@ class JobManager:
             record._finish("incomplete", error=str(exc))
             return
         finally:
-            if executor is not None:
-                executor.close()
+            executor.close()
         record.cache = cache.stats.as_dict()
         record.emit({"type": "done", "cache": record.cache})

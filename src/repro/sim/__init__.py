@@ -3,13 +3,11 @@
 Public surface:
 
 * :class:`Simulator` — clock, scheduling, run loop.
-* :class:`Event`, :class:`AnyOf`, :class:`AllOf` — waitables.
-* :class:`Process`, :func:`spawn`, :class:`Interrupt` — generator coroutines.
+* :func:`strictly_after` — the float-resolution guard for re-arms.
+* :class:`EventQueue`, :class:`ScheduledCall` — the scheduler beneath it.
 * :class:`Tracer` — structured tracing for tests/diagnostics.
 """
 
-from .events import AllOf, AnyOf, Event
-from .process import Interrupt, Process, spawn
 from .scheduler import EventQueue, ScheduledCall
 from .simulator import Simulator, strictly_after
 from .trace import Annotation, TraceRecord, Tracer
@@ -17,12 +15,6 @@ from .trace import Annotation, TraceRecord, Tracer
 __all__ = [
     "Simulator",
     "strictly_after",
-    "Event",
-    "AnyOf",
-    "AllOf",
-    "Process",
-    "spawn",
-    "Interrupt",
     "EventQueue",
     "ScheduledCall",
     "Tracer",

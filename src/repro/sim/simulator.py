@@ -4,10 +4,9 @@ Design notes
 ------------
 * Time is a float in **seconds**; the kernel never rounds, and simultaneous
   events run in deterministic scheduling order (see scheduler module).
-* Hot paths in the MAC layer use plain scheduled callbacks
-  (:meth:`Simulator.call_in`) — roughly 3x cheaper than generator
-  processes in CPython.  The process API (:mod:`repro.sim.process`) sits
-  on top for user-facing composition, examples and tests.
+* Every model schedules plain callbacks (:meth:`Simulator.call_in`,
+  :meth:`Simulator.call_in_strict` for periodic re-arms); there is no
+  generator-coroutine layer.
 * ``run_until`` executes every event with ``time <= until`` and then sets
   the clock exactly to ``until`` so back-to-back calls compose.
 """
@@ -19,7 +18,6 @@ from heapq import heappop
 from typing import Any, Callable, Optional
 
 from ..errors import SchedulerError, SimulationError
-from .events import AllOf, AnyOf, Event
 from .scheduler import EventQueue, ScheduledCall
 
 __all__ = ["Simulator", "strictly_after"]
@@ -130,37 +128,6 @@ class Simulator:
     def schedule_now(self, fn: Callable[..., Any], *args: Any) -> ScheduledCall:
         """Schedule ``fn(*args)`` at the current time (after current event)."""
         return self._queue.push(self._now, fn, args, 0)
-
-    # -- waitables ------------------------------------------------------------
-
-    def event(self, name: str = "") -> Event:
-        """Create a fresh un-triggered :class:`Event` bound to this simulator."""
-        return Event(self, name)
-
-    def timeout(self, delay: float, value: Any = None, name: str = "") -> Event:
-        """An event that succeeds ``delay`` seconds from now with ``value``.
-
-        The target time goes through :func:`strictly_after` (parity with
-        :meth:`call_in_strict`): late in a long simulation a small positive
-        ``delay`` must not underflow the float clock into a same-instant
-        event, or a timeout-driven wait loop would freeze simulated time.
-        Consequently ``timeout(0)`` fires one float ulp after ``now``
-        (unlike :meth:`call_in` with delay 0, which fires at the current
-        instant) — a waited timeout always advances the clock.
-        """
-        ev = Event(self, name or f"timeout({delay:.6g})")
-        if delay < 0:
-            raise SchedulerError(f"negative timeout: {delay!r}")
-        self._queue.push(strictly_after(self._now, delay), ev.succeed, (value,), 0)
-        return ev
-
-    def any_of(self, *events: Event) -> AnyOf:
-        """Composite event: first of ``events``."""
-        return AnyOf(self, list(events))
-
-    def all_of(self, *events: Event) -> AllOf:
-        """Composite event: all of ``events``."""
-        return AllOf(self, list(events))
 
     # -- run loop ---------------------------------------------------------------
 

@@ -14,6 +14,7 @@ from repro.api import (
     list_experiments,
     run_scenarios,
     simulate,
+    use_executor,
 )
 from repro.api.registry import experiment
 from repro.config import Protocol
@@ -50,7 +51,8 @@ class TestRegistry:
             spec = get_experiment("_test-exp")
             assert spec.summary == "scratch"
             # Declared options pass through; undeclared ones are dropped.
-            assert spec.run(preset="smoke", jobs=4, seeds=(1, 2)) == "smoke"
+            assert spec.run(preset="smoke", loads_pps=(5.0,),
+                            seeds=(1, 2)) == "smoke"
         finally:
             from repro.api import registry
 
@@ -203,13 +205,14 @@ class TestCampaign:
         """Registry + campaign determinism at quick scale (full lifetime
         sweeps; excluded from the default run — select with -m slow)."""
         fig = get_experiment("fig9")
-        serial = fig.run(preset="quick", seeds=(1,), jobs=1)
-        fanned = fig.run(preset="quick", seeds=(1,), jobs=3)
+        serial = fig.run(preset="quick", seeds=(1,))
+        with use_executor("pool:3"):
+            fanned = fig.run(preset="quick", seeds=(1,))
         assert serial.rows == fanned.rows
         assert serial.notes == fanned.notes
 
     def test_determinism_across_parallelism(self):
-        """jobs=1 and jobs=4 must yield byte-identical metrics."""
+        """Serial and pool:4 must yield byte-identical metrics."""
         def build():
             return (
                 Campaign(_smoke(horizon_s=6.0))
@@ -217,8 +220,8 @@ class TestCampaign:
                 .seeds([1, 2])
             )
 
-        serial = build().run(jobs=1)
-        parallel = build().run(jobs=4)
+        serial = build().run()
+        parallel = build().run(executor="pool:4")
         assert len(serial.runs) == len(parallel.runs) == 4
         # wall_time_s is the only field allowed to differ.
         for rx, ry in zip(serial.runs, parallel.runs):

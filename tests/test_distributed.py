@@ -412,7 +412,7 @@ class TestServerDistributed:
             thread.join(timeout=5.0)
 
     def test_executor_spec_conflicts_rejected(self, dist_server):
-        with pytest.raises(ExperimentError, match="legacy supervision"):
+        with pytest.raises(ExperimentError, match='"executor" key'):
             dist_server.manager.submit({
                 **GRID_SPEC, "executor": "serial", "supervise": True,
             })

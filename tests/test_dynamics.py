@@ -10,8 +10,8 @@ Four contracts are pinned here:
   across delivered / lost / dropped / orphaned / still-queued, even when
   its source churn-fails mid-flight;
 * **determinism** — scripted and stochastic timelines are bit-identical
-  across same-seed runs, and ``ext-dynamics`` renders identically at any
-  ``jobs`` parallelism and through a store round-trip;
+  across same-seed runs, and ``ext-dynamics`` renders identically under
+  any executor and through a store round-trip;
 * **semantics** — failed nodes go dark and sit out clustering, recovered
   nodes re-enter at the next round, regime shifts move every active
   link's mean SNR at once.
@@ -22,7 +22,13 @@ import json
 
 import pytest
 
-from repro.api import RunOptions, Scenario, get_experiment, simulate
+from repro.api import (
+    RunOptions,
+    Scenario,
+    get_experiment,
+    simulate,
+    use_executor,
+)
 from repro.api.store import ResultStore
 from repro.channel import LinkBudget
 from repro.config import DynamicsConfig, NetworkConfig, Protocol
@@ -549,7 +555,7 @@ class TestExtDynamicsExperiment:
     def test_smoke_render_and_store_round_trip(self, tmp_path):
         spec = get_experiment("ext-dynamics")
         fig = spec.run(
-            preset="smoke", seeds=(1,), churn_rates_hz=(0.0, 0.01), jobs=1
+            preset="smoke", seeds=(1,), churn_rates_hz=(0.0, 0.01)
         )
         assert len(fig.rows) == 6  # 3 protocols x 2 churn rates
         text = fig.render()
@@ -566,8 +572,9 @@ class TestExtDynamicsExperiment:
     @pytest.mark.slow
     def test_bit_identical_across_jobs(self):
         spec = get_experiment("ext-dynamics")
-        serial = spec.run(preset="smoke", seeds=(1, 2), jobs=1)
-        parallel = spec.run(preset="smoke", seeds=(1, 2), jobs=4)
+        serial = spec.run(preset="smoke", seeds=(1, 2))
+        with use_executor("pool:4"):
+            parallel = spec.run(preset="smoke", seeds=(1, 2))
         assert serial.render() == parallel.render()
         for a, b in zip(serial.runs, parallel.runs):
             da, db = dataclasses.asdict(a), dataclasses.asdict(b)

@@ -1,22 +1,14 @@
-"""ExecutorSpec: one value that names how a campaign executes.
+"""ExecutorSpec: the one value that names how a campaign executes.
 
-The spec collapses the legacy ``jobs=``/``supervise=`` spellings into a
-single declarative record.  These tests pin the parse grammar, the
-legacy mapping, the resolution precedence, and — the contract that
-matters — that every spelling of the same policy produces bit-identical
-results.
+These tests pin the parse grammar, the type checks on JSON input, the
+resolution rule (explicit ``executor=``, else the ambient
+``use_executor``, else serial), and — the contract that matters — that
+every executor produces results bit-identical to serial.
 """
 
 import pytest
 
-from repro.api import (
-    Campaign,
-    ExecutorSpec,
-    Scenario,
-    SupervisorConfig,
-    use_executor,
-    use_supervisor,
-)
+from repro.api import Campaign, ExecutorSpec, Scenario, use_executor
 from repro.api.campaign import resolve_executor
 from repro.config import Protocol
 from repro.errors import ExperimentError
@@ -85,6 +77,10 @@ class TestParse:
             ExecutorSpec(kind="pool", jobs=0)
         with pytest.raises(ExperimentError, match="retries"):
             ExecutorSpec(kind="supervised", retries=-1)
+        with pytest.raises(ExperimentError, match="cell_timeout_s"):
+            ExecutorSpec(kind="supervised", cell_timeout_s=0.0)
+        with pytest.raises(ExperimentError, match="backoff delays"):
+            ExecutorSpec(kind="supervised", backoff_base_s=-0.1)
         with pytest.raises(ExperimentError, match="lease_timeout_s"):
             ExecutorSpec(kind="distributed", lease_timeout_s=0.0)
         with pytest.raises(ExperimentError, match="bad distributed bind"):
@@ -102,24 +98,44 @@ class TestParse:
         with pytest.raises(ExperimentError, match="unknown executor fields"):
             ExecutorSpec.from_dict({"kind": "pool", "workers": 4})
 
+    @pytest.mark.parametrize("data, expected", [
+        ({"kind": "pool", "jobs": "4"}, "an integer"),
+        ({"kind": "pool", "jobs": True}, "an integer"),
+        ({"kind": "pool", "jobs": 2.5}, "an integer"),
+        ({"kind": "supervised", "retries": "1"}, "an integer"),
+        ({"kind": "supervised", "cell_timeout_s": "30"}, "a number"),
+        ({"kind": "distributed", "lease_timeout_s": False}, "a number"),
+        ({"kind": "supervised", "allow_partial": "no"}, "true or false"),
+        ({"kind": "distributed", "bind": 8400}, "a string"),
+    ])
+    def test_from_dict_rejects_mistyped_values(self, data, expected):
+        with pytest.raises(ExperimentError, match=f"must be {expected}"):
+            ExecutorSpec.from_dict(data)
+
+    def test_from_dict_accepts_well_typed_values(self):
+        spec = ExecutorSpec.from_dict({
+            "kind": "supervised", "jobs": 2, "cell_timeout_s": 30,
+            "retries": None, "allow_partial": True,
+        })
+        assert (spec.jobs, spec.cell_timeout_s, spec.max_attempts) == (2, 30, 3)
+        assert spec.allow_partial is True
+
+    def test_partial_accepts_only_boolean_words(self):
+        for word, value in (("true", True), ("YES", True), ("on", True),
+                            ("1", True), ("false", False), ("no", False),
+                            ("off", False), ("0", False)):
+            spec = ExecutorSpec.parse(f"supervised:partial={word}")
+            assert spec.allow_partial is value
+        for word in ("ture", "maybe", ""):
+            with pytest.raises(ExperimentError, match="bad value"):
+                ExecutorSpec.parse(f"supervised:partial={word}")
+
     def test_to_dict_round_trip_omits_defaults(self):
         spec = ExecutorSpec.parse("supervised:jobs=2,retries=1")
         data = spec.to_dict()
         assert data == {"kind": "supervised", "jobs": 2, "retries": 1}
         assert ExecutorSpec.from_dict(data) == spec
         assert ExecutorSpec().to_dict() == {"kind": "serial"}
-
-    def test_from_legacy(self):
-        assert ExecutorSpec.from_legacy() == ExecutorSpec(kind="serial")
-        assert ExecutorSpec.from_legacy(jobs=4) == ExecutorSpec(
-            kind="pool", jobs=4
-        )
-        sup = SupervisorConfig(cell_timeout_s=10.0, max_attempts=2, seed=3)
-        spec = ExecutorSpec.from_legacy(jobs=2, supervise=sup)
-        assert spec.kind == "supervised"
-        assert spec.supervisor() == sup.__class__(
-            cell_timeout_s=10.0, max_attempts=2, seed=3
-        )
 
     def test_describe_is_compact(self):
         assert ExecutorSpec.parse("pool:4").describe() == "pool jobs=4"
@@ -129,36 +145,22 @@ class TestParse:
 
 
 class TestResolvePrecedence:
-    def test_jobs_fallback(self):
-        assert resolve_executor(1).kind == "serial"
-        assert resolve_executor(4) == ExecutorSpec(kind="pool", jobs=4)
+    def test_serial_fallback(self):
+        assert resolve_executor() == ExecutorSpec(kind="serial")
 
     def test_explicit_executor_wins(self):
-        with use_supervisor(SupervisorConfig()):
-            resolved = resolve_executor(4, None, "serial")
+        with use_executor("pool:4"):
+            resolved = resolve_executor("serial")
         assert resolved == ExecutorSpec(kind="serial")
 
     def test_live_instance_passes_through(self):
         live = SerialExecutor()
-        assert resolve_executor(4, None, live) is live
+        assert resolve_executor(live) is live
 
-    def test_explicit_supervise_beats_ambient_executor(self):
-        sup = SupervisorConfig(max_attempts=5)
-        with use_executor("pool:4"):
-            resolved = resolve_executor(1, sup, None)
-        assert resolved.kind == "supervised"
-        assert resolved.max_attempts == 5
-
-    def test_ambient_executor_beats_jobs(self):
+    def test_ambient_executor_used_without_argument(self):
         with use_executor("pool:3") as live:
             assert isinstance(live, PoolExecutor)
-            assert resolve_executor(8) is live
-
-    def test_ambient_supervisor_still_honoured(self):
-        with use_supervisor(SupervisorConfig(max_attempts=4)):
-            resolved = resolve_executor(2)
-        assert resolved.kind == "supervised"
-        assert (resolved.jobs, resolved.max_attempts) == (2, 4)
+            assert resolve_executor() is live
 
     def test_get_executor_instantiates_each_kind(self):
         assert isinstance(get_executor(ExecutorSpec()), SerialExecutor)
@@ -167,34 +169,27 @@ class TestResolvePrecedence:
         sup = get_executor({"kind": "supervised", "retries": 1})
         assert isinstance(sup, SupervisedExecutor)
         assert isinstance(sup, CampaignExecutor)
+        assert sup.spec.max_attempts == 2
 
 
 class TestEquivalence:
-    """Every spelling of the same policy → bit-identical results."""
+    """Every executor → results bit-identical to serial."""
 
-    def test_pool_spec_matches_legacy_jobs(self):
+    def test_pool_spec_matches_serial(self):
         camp = _campaign()
-        legacy = camp.run(jobs=2)
-        spec = camp.run(executor="pool:2")
-        assert _norm(spec.runs) == _norm(legacy.runs)
+        serial = camp.run()
+        pool = camp.run(executor="pool:2")
+        assert _norm(pool.runs) == _norm(serial.runs)
 
-    def test_supervised_spec_matches_legacy_supervise(self):
+    def test_supervised_spec_matches_serial(self):
         camp = _campaign()
-        sup = SupervisorConfig(max_attempts=2)
-        legacy = camp.run(supervise=sup)
-        spec = camp.run(executor="supervised:retries=1")
-        assert _norm(spec.runs) == _norm(legacy.runs)
+        serial = camp.run()
+        supervised = camp.run(executor="supervised:retries=1")
+        assert _norm(supervised.runs) == _norm(serial.runs)
 
     def test_ambient_executor_reaches_campaign(self):
         camp = _campaign()
         serial = camp.run()
         with use_executor("pool:2"):
-            ambient = camp.run(jobs=1)
+            ambient = camp.run()
         assert _norm(ambient.runs) == _norm(serial.runs)
-
-    def test_executor_conflicts_with_legacy_arguments(self):
-        camp = _campaign()
-        with pytest.raises(ExperimentError, match="not both"):
-            camp.run(jobs=2, executor="serial")
-        with pytest.raises(ExperimentError, match="not both"):
-            camp.run(supervise=SupervisorConfig(), executor="serial")

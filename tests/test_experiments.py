@@ -1,10 +1,11 @@
-"""Experiment harness: presets, runner, report, sweep, CLI, tables."""
+"""Experiment harness: presets, single runs, report, CLI, tables."""
 
 import io
 from contextlib import redirect_stdout
 
 import pytest
 
+from repro.api import RunOptions, simulate
 from repro.cli import main
 from repro.config import NetworkConfig, Protocol
 from repro.errors import ExperimentError
@@ -12,8 +13,6 @@ from repro.experiments import (
     get_preset,
     preset_config,
     render_table,
-    run_scenario,
-    sweep,
     table1_tone_spec,
     table2_parameters,
     write_csv,
@@ -47,7 +46,7 @@ class TestPresets:
 class TestRunner:
     def test_run_scenario_collects_everything(self):
         cfg = preset_config("smoke", Protocol.PURE_LEACH)
-        run = run_scenario(cfg, horizon_s=20.0, sample_interval_s=2.0)
+        run = simulate(cfg, RunOptions(horizon_s=20.0, sample_interval_s=2.0))
         assert run.protocol == "pure_leach"
         assert len(run.sample_times_s) == len(run.mean_energy_j)
         assert len(run.alive_counts) == len(run.sample_times_s)
@@ -60,29 +59,30 @@ class TestRunner:
 
     def test_energy_series_decreasing(self):
         cfg = preset_config("smoke", Protocol.CAEM_ADAPTIVE)
-        run = run_scenario(cfg, horizon_s=15.0, sample_interval_s=1.0)
+        run = simulate(cfg, RunOptions(horizon_s=15.0, sample_interval_s=1.0))
         assert run.mean_energy_j[0] > run.mean_energy_j[-1]
 
     def test_stop_when_dead(self):
         cfg = preset_config("smoke", Protocol.PURE_LEACH)
-        run = run_scenario(
-            cfg, horizon_s=500.0, sample_interval_s=2.0, stop_when_dead=True
-        )
+        run = simulate(cfg, RunOptions(
+            horizon_s=500.0, sample_interval_s=2.0, stop_when_dead=True
+        ))
         # Smoke tier batteries (0.5 J) cannot last 500 s.
         assert run.lifetime_s is not None
         assert run.sample_times_s[-1] < 500.0
 
     def test_collect_queues(self):
         cfg = preset_config("smoke", Protocol.CAEM_FIXED)
-        run = run_scenario(
-            cfg, horizon_s=10.0, sample_interval_s=2.0, collect_queues=True
-        )
+        run = simulate(cfg, RunOptions(
+            horizon_s=10.0, sample_interval_s=2.0, collect_queues=True
+        ))
         assert run.queue_snapshots
         assert all(isinstance(s, list) for s in run.queue_snapshots)
 
     def test_bad_horizon(self):
         with pytest.raises(ExperimentError):
-            run_scenario(preset_config("smoke", Protocol.PURE_LEACH), horizon_s=0.0)
+            simulate(preset_config("smoke", Protocol.PURE_LEACH),
+                     RunOptions(horizon_s=0.0))
 
 
 class TestReport:
@@ -125,47 +125,6 @@ class TestTables:
             table1_tone_spec().series("nonexistent")
 
 
-class TestSweep:
-    def test_sweep_over_load(self):
-        base = preset_config("smoke", Protocol.PURE_LEACH)
-        result = sweep(
-            base,
-            parameter="load",
-            values=[2.0, 8.0],
-            transform=lambda cfg, v: cfg.with_traffic(packets_per_second=v),
-            metrics={
-                "delivered": lambda r: float(r.delivered),
-                "energy": lambda r: r.total_consumed_j,
-            },
-            horizon_s=10.0,
-            sample_interval_s=2.0,
-        )
-        assert [p.value for p in result.points] == [2.0, 8.0]
-        delivered = result.column("delivered")
-        assert delivered[1] > delivered[0]  # more load, more deliveries
-        rows = result.rows(["delivered", "energy"])
-        assert len(rows) == 2 and len(rows[0]) == 3
-
-    def test_sweep_validation(self):
-        base = preset_config("smoke", Protocol.PURE_LEACH)
-        with pytest.raises(ExperimentError):
-            sweep(base, "x", [], lambda c, v: c, {"m": lambda r: 1.0}, 10.0)
-        with pytest.raises(ExperimentError):
-            sweep(base, "x", [1], lambda c, v: c, {}, 10.0)
-
-    def test_censored_metric_dropped(self):
-        base = preset_config("smoke", Protocol.PURE_LEACH)
-        result = sweep(
-            base,
-            parameter="load",
-            values=[2.0],
-            transform=lambda cfg, v: cfg.with_traffic(packets_per_second=v),
-            metrics={"lifetime": lambda r: r.lifetime_s},  # None at 10 s horizon
-            horizon_s=10.0,
-        )
-        assert result.column("lifetime") == [None]
-
-
 class TestCli:
     def _run(self, *argv):
         buf = io.StringIO()
@@ -190,6 +149,18 @@ class TestCli:
         code, out = self._run("table1", "--out", str(tmp_path))
         assert code == 0
         assert (tmp_path / "table1.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("run", "fig8", "--jobs", "2"),
+        ("run", "fig8", "--retries", "1"),
+        ("run", "fig8", "--cell-timeout", "5"),
+        ("serve", "--jobs", "2"),
+    ])
+    def test_removed_execution_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_bad_experiment_rejected(self):
         with pytest.raises(SystemExit):

@@ -13,11 +13,11 @@ import pytest
 from repro.api import (
     Campaign,
     CampaignIncompleteError,
+    ExecutorSpec,
     ResultStore,
     Scenario,
-    SupervisorConfig,
     run_scenarios,
-    use_supervisor,
+    use_executor,
 )
 from repro.config import Protocol
 from repro.errors import ReproError
@@ -104,15 +104,21 @@ class TestFaultInjector:
             assert active_faults() is None
 
 
-class TestSupervisorConfig:
+def _supervised(**fields):
+    return ExecutorSpec(kind="supervised", **fields)
+
+
+class TestSupervisedPolicy:
     def test_validation(self):
         with pytest.raises(ReproError):
-            SupervisorConfig(cell_timeout_s=0.0)
+            _supervised(cell_timeout_s=0.0)
         with pytest.raises(ReproError):
-            SupervisorConfig(max_attempts=0)
+            _supervised(retries=-1)
+        with pytest.raises(ReproError):
+            _supervised(backoff_cap_s=-1.0)
 
     def test_backoff_is_capped_exponential_with_jitter(self):
-        sup = SupervisorConfig(backoff_base_s=0.25, backoff_cap_s=2.0)
+        sup = _supervised(backoff_base_s=0.25, backoff_cap_s=2.0)
         for attempt in range(1, 8):
             delay = sup.backoff_delay(0, attempt)
             nominal = min(2.0, 0.25 * 2 ** (attempt - 1))
@@ -126,9 +132,7 @@ class TestSupervisedExecutor:
     def test_clean_run_matches_plain_execution(self):
         scenarios = _scenarios(n=2)
         plain = run_scenarios(scenarios)
-        supervised = run_scenarios(
-            scenarios, supervise=SupervisorConfig(max_attempts=2)
-        )
+        supervised = run_scenarios(scenarios, executor=_supervised(retries=1))
         for a, b in zip(plain, supervised):
             da, db = a.to_dict(), b.to_dict()
             da.pop("wall_time_s"), db.pop("wall_time_s")
@@ -136,12 +140,10 @@ class TestSupervisedExecutor:
 
     def test_crash_every_attempt_quarantines(self):
         scenarios = _scenarios(n=1)
-        sup = SupervisorConfig(
-            max_attempts=2, backoff_base_s=0.01, backoff_cap_s=0.02
-        )
+        sup = _supervised(retries=1, backoff_base_s=0.01, backoff_cap_s=0.02)
         with inject_faults(FaultPlan(seed=1, worker_crash_rate=1.0)):
             with pytest.raises(CampaignIncompleteError) as err:
-                run_scenarios(scenarios, supervise=sup)
+                run_scenarios(scenarios, executor=sup)
         assert len(err.value.failures) == 1
         failure = err.value.failures[0]
         assert failure.attempts == 2
@@ -150,12 +152,12 @@ class TestSupervisedExecutor:
 
     def test_allow_partial_returns_none_slots(self):
         scenarios = _scenarios(n=2)
-        sup = SupervisorConfig(
-            max_attempts=1, allow_partial=True,
+        sup = _supervised(
+            retries=0, allow_partial=True,
             backoff_base_s=0.01, backoff_cap_s=0.02,
         )
         with inject_faults(FaultPlan(seed=1, worker_crash_rate=1.0)):
-            results = run_scenarios(scenarios, supervise=sup)
+            results = run_scenarios(scenarios, executor=sup)
         assert results == [None, None]
 
     def test_crash_then_retry_succeeds(self):
@@ -173,12 +175,10 @@ class TestSupervisedExecutor:
                 "worker.crash", base_key + "|attempt=2", 0.5)
         )
         events = []
-        sup = SupervisorConfig(
-            max_attempts=3, backoff_base_s=0.01, backoff_cap_s=0.02
-        )
+        sup = _supervised(retries=2, backoff_base_s=0.01, backoff_cap_s=0.02)
         with inject_faults(FaultPlan(seed=seed, worker_crash_rate=0.5)):
             results = run_scenarios(
-                scenarios, supervise=sup, on_cell_event=events.append
+                scenarios, executor=sup, on_cell_event=events.append
             )
         assert len(results) == 1 and results[0] is not None
         kinds = [e["type"] for e in events]
@@ -206,15 +206,15 @@ class TestSupervisedExecutor:
                 "worker.hang", base_key + "|attempt=2", 0.5)
         )
         events = []
-        sup = SupervisorConfig(
-            cell_timeout_s=0.5, max_attempts=2,
+        sup = _supervised(
+            cell_timeout_s=0.5, retries=1,
             backoff_base_s=0.01, backoff_cap_s=0.02,
         )
         with inject_faults(
             FaultPlan(seed=seed, worker_hang_rate=0.5, hang_s=60.0)
         ):
             results = run_scenarios(
-                scenarios, supervise=sup, on_cell_event=events.append
+                scenarios, executor=sup, on_cell_event=events.append
             )
         assert results[0] is not None
         retry = next(e for e in events if e["type"] == "retry")
@@ -228,20 +228,16 @@ class TestSupervisedExecutor:
         # failure naming a node the network does not have is rejected
         # when the dynamics timeline is built, i.e. during scenario.run.
         bad = sc.with_dynamics(scripted_failures=[(1.0, 99_999)])
-        sup = SupervisorConfig(
-            max_attempts=2, backoff_base_s=0.01, backoff_cap_s=0.02
-        )
+        sup = _supervised(retries=1, backoff_base_s=0.01, backoff_cap_s=0.02)
         with pytest.raises(CampaignIncompleteError) as err:
-            run_scenarios([bad], supervise=sup)
+            run_scenarios([bad], executor=sup)
         assert "Traceback" in err.value.failures[0].error
 
     def test_ambient_supervisor_contextvar(self):
         scenarios = _scenarios(n=1)
-        sup = SupervisorConfig(
-            max_attempts=1, backoff_base_s=0.01, backoff_cap_s=0.02
-        )
+        sup = _supervised(retries=0, backoff_base_s=0.01, backoff_cap_s=0.02)
         with inject_faults(FaultPlan(seed=1, worker_crash_rate=1.0)):
-            with use_supervisor(sup):
+            with use_executor(sup):
                 with pytest.raises(CampaignIncompleteError):
                     run_scenarios(scenarios)
         # Outside the context the plain executor runs (no worker procs,
@@ -252,8 +248,8 @@ class TestSupervisedExecutor:
     def test_supervised_store_flush_is_grid_ordered(self, tmp_path):
         scenarios = _scenarios(n=3)
         store = ResultStore(tmp_path / "sup.jsonl")
-        sup = SupervisorConfig(max_attempts=1)
-        run_scenarios(scenarios, jobs=2, store=store, supervise=sup)
+        sup = _supervised(jobs=2, retries=0)
+        run_scenarios(scenarios, store=store, executor=sup)
         stored = store.load()
         serial = run_scenarios(scenarios)
         assert [r.seed for r in stored] == [r.seed for r in serial]

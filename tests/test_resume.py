@@ -2,7 +2,8 @@
 
 The tentpole guarantee: SIGKILL a sweep mid-flight, re-run it with
 ``--resume``, and (a) no completed cell is re-simulated, (b) the final
-render is byte-identical to an uninterrupted run, at any ``--jobs``.
+render is byte-identical to an uninterrupted run, under any
+``--executor``.
 """
 
 import json
@@ -181,7 +182,7 @@ def _rows(db_path):
 class TestKillAndResumeGate:
     """The PR's acceptance gate, as a test: SIGKILL mid-sweep, resume,
     assert zero re-simulation of completed cells + byte-identical
-    render at a different --jobs."""
+    render under a different executor."""
 
     ARGS = [
         "run", "fig8", "--preset", "smoke",
@@ -231,8 +232,8 @@ class TestKillAndResumeGate:
             resumed.stderr,
         )
 
-        # Byte-identical to an uninterrupted run — at a different --jobs.
-        clean = _run_cli([*self.ARGS, "--jobs", "2"], tmp_path)
+        # Byte-identical to an uninterrupted run — under another executor.
+        clean = _run_cli([*self.ARGS, "--executor", "pool:2"], tmp_path)
         assert clean.returncode == 0, clean.stderr
         assert resumed.stdout == clean.stdout
 
@@ -248,6 +249,29 @@ class TestKillAndResumeGate:
         assert result.returncode == 1
         assert "scalar-only" in result.stderr
 
+    def test_resume_without_executor_runs_supervised(self, tmp_path):
+        """--resume alone keeps its supervised default: every worker
+        crashes, so every cell is quarantined.  The same line without
+        --resume runs serially, which never consults the crash site."""
+        args = ["run", "fig8", "--preset", "smoke", "--seeds", "1",
+                "--store", "crash.sqlite"]
+        env = dict(os.environ, PYTHONPATH=REPO_SRC, REPRO_FAULTS=json.dumps(
+            {"seed": 1, "worker_crash_rate": 1.0}
+        ))
+
+        def run(*extra):
+            return subprocess.run(
+                [sys.executable, "-m", "repro", *args, *extra],
+                cwd=tmp_path, env=env, capture_output=True, text=True,
+                timeout=240,
+            )
+
+        resumed = run("--resume")
+        assert resumed.returncode == 1, resumed.stderr
+        assert "3 of 3 cells quarantined" in resumed.stderr
+        plain = run()
+        assert plain.returncode == 0, plain.stderr
+
 
 class TestChaosCampaign:
     """A campaign under injected worker crashes completes correctly:
@@ -256,7 +280,7 @@ class TestChaosCampaign:
 
     def test_campaign_survives_injected_crashes(self, tmp_path):
         args = ["run", "fig8", "--preset", "smoke", "--seeds", "1", "2",
-                "--retries", "6"]
+                "--executor", "supervised:retries=6"]
         env = dict(os.environ, PYTHONPATH=REPO_SRC)
         env["REPRO_FAULTS"] = json.dumps(
             {"seed": 11, "worker_crash_rate": 0.4}

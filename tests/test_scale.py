@@ -22,7 +22,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.api import RunOptions, get_experiment
+from repro.api import RunOptions, get_experiment, use_executor
 from repro.api.engine import simulate
 from repro.channel import Link, LinkBudget
 from repro.config import ChannelConfig, NetworkConfig, Protocol, ScaleConfig
@@ -361,7 +361,7 @@ class TestExtScaleExperiment:
 
     def test_smoke_run_and_store_round_trip(self):
         spec = get_experiment("ext-scale")
-        fig = spec.run(preset="smoke", seeds=(1,), jobs=1)
+        fig = spec.run(preset="smoke", seeds=(1,))
         assert len(fig.rows) == 6  # 3 protocols x 2 sizes
         assert fig.headers[:2] == ["protocol", "nodes"]
         # Re-render from the recorded runs without re-simulating.
@@ -402,8 +402,9 @@ class TestExtScaleExperiment:
 
     def test_deterministic_fields_jobs_parity(self):
         spec = get_experiment("ext-scale")
-        serial = spec.run(preset="smoke", seeds=(1,), jobs=1)
-        twice = spec.run(preset="smoke", seeds=(1,), jobs=2)
+        serial = spec.run(preset="smoke", seeds=(1,))
+        with use_executor("pool:2"):
+            twice = spec.run(preset="smoke", seeds=(1,))
         for a, b in zip(serial.runs, twice.runs):
             da, db = a.to_dict(), b.to_dict()
             da.pop("wall_time_s"), db.pop("wall_time_s")

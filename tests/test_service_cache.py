@@ -169,11 +169,11 @@ class TestAmbientCache:
     @pytest.mark.slow
     def test_cache_results_identical_at_any_jobs(self, tmp_path):
         """Cache misses fan out over the process pool like plain runs;
-        the assembled results stay bit-identical to jobs=1."""
+        the assembled results stay bit-identical to serial."""
         db1 = DbResultStore(tmp_path / "a.sqlite")
         db2 = DbResultStore(tmp_path / "b.sqlite")
-        serial = _campaign().run(jobs=1, cache=RunCache(db1))
-        fanned = _campaign().run(jobs=2, cache=RunCache(db2))
+        serial = _campaign().run(cache=RunCache(db1))
+        fanned = _campaign().run(executor="pool:2", cache=RunCache(db2))
         # wall_time_s is the only field allowed to differ.
         assert [{**a.to_dict(), "wall_time_s": 0} for a in serial.runs] == \
             [{**b.to_dict(), "wall_time_s": 0} for b in fanned.runs]

@@ -152,8 +152,29 @@ class TestEndpoints:
             _get_json(server, "/runs?where=nonsense")
         assert excinfo.value.code == 400
 
+    def test_mistyped_executor_is_a_400(self, server):
+        for executor in ({"kind": "pool", "jobs": "4"},
+                         {"kind": "supervised", "allow_partial": "no"}):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _post_json(server, "/campaigns",
+                           {**GRID_SPEC, "executor": executor})
+            assert excinfo.value.code == 400
+            assert "executor field" in json.loads(excinfo.value.read())["error"]
+        assert _get_json(server, "/campaigns")["jobs"] == []
+
 
 class TestJobManager:
+    def test_removed_execution_keys_name_executor(self, tmp_path):
+        manager = JobManager(DbResultStore(tmp_path / "db.sqlite"))
+        try:
+            for key, value in (("jobs", 2), ("supervise", True),
+                               ("cell_timeout_s", 30.0), ("max_attempts", 3)):
+                with pytest.raises(ExperimentError, match='"executor"'):
+                    manager.submit({**GRID_SPEC, key: value})
+            assert manager.list() == []
+        finally:
+            manager.shutdown()
+
     def test_bad_specs_fail_at_submit(self, tmp_path):
         manager = JobManager(DbResultStore(tmp_path / "db.sqlite"))
         try:
@@ -172,7 +193,7 @@ class TestJobManager:
         recorded, and the worker thread survives to run the next job."""
         from repro.api import registry
 
-        def boom(preset="smoke", seeds=(1,), jobs=1):
+        def boom(preset="smoke", seeds=(1,)):
             raise RuntimeError("reactor scram")
 
         monkeypatch.setitem(

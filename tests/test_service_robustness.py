@@ -143,7 +143,7 @@ class TestJobAbortSemantics:
     ):
         release = threading.Event()
 
-        def hang(preset="smoke", seeds=(1,), jobs=1):
+        def hang(preset="smoke", seeds=(1,)):
             release.wait(timeout=30.0)
             raise RuntimeError("released late")
 
@@ -199,7 +199,8 @@ class TestJobAbortSemantics:
 class TestSupervisedJobs:
     def test_crashing_job_lands_incomplete_with_report(self, tmp_path):
         spec = dict(
-            GRID_SPEC, supervise=True, max_attempts=2, horizon_s=4.0
+            GRID_SPEC, executor={"kind": "supervised", "retries": 1},
+            horizon_s=4.0,
         )
         manager = JobManager(DbResultStore(tmp_path / "db.sqlite"))
         try:
@@ -208,7 +209,7 @@ class TestSupervisedJobs:
                 assert record.wait(timeout=240.0)
             assert record.status == "incomplete"
             assert record.quarantined == 1
-            assert record.retries == 1  # attempt 2 of max_attempts=2
+            assert record.retries == 1  # attempt 2 of 2 (retries=1)
             assert record.report is not None
             assert record.report["incomplete"] is True
             assert record.report["quarantined_cells"]
@@ -222,7 +223,7 @@ class TestSupervisedJobs:
             manager.shutdown()
 
     def test_supervised_job_completes_clean_without_faults(self, tmp_path):
-        spec = dict(GRID_SPEC, supervise=True)
+        spec = dict(GRID_SPEC, executor="supervised")
         manager = JobManager(DbResultStore(tmp_path / "db.sqlite"))
         try:
             record = manager.submit(spec)
@@ -238,11 +239,12 @@ class TestSupervisedJobs:
 
         manager = JobManager(DbResultStore(tmp_path / "db.sqlite"))
         try:
-            with pytest.raises(ExperimentError, match="supervision"):
-                manager.submit(dict(GRID_SPEC, cell_timeout_s="soon"))
-            with pytest.raises(ExperimentError):
-                manager.submit(dict(GRID_SPEC, supervise=True,
-                                    max_attempts=0))
+            with pytest.raises(ExperimentError, match="must be a number"):
+                manager.submit(dict(GRID_SPEC, executor={
+                    "kind": "supervised", "cell_timeout_s": "soon"}))
+            with pytest.raises(ExperimentError, match="retries"):
+                manager.submit(dict(GRID_SPEC, executor={
+                    "kind": "supervised", "retries": -1}))
             assert manager.list() == []
         finally:
             manager.shutdown()

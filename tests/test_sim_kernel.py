@@ -1,4 +1,4 @@
-"""Discrete-event kernel: scheduler, simulator, events."""
+"""Discrete-event kernel: scheduler, simulator, strict re-arms."""
 
 import pytest
 
@@ -202,100 +202,6 @@ class TestSimulatorScheduling:
             sim.call_at(1.0, out.append, i)
         sim.run()
         assert out == [0, 1, 2, 3, 4]
-
-
-class TestEvents:
-    def test_succeed_delivers_value(self):
-        sim = Simulator()
-        ev = sim.event("e")
-        got = []
-        ev.add_callback(lambda e: got.append(e.value))
-        ev.succeed(42)
-        sim.run()
-        assert got == [42]
-
-    def test_fail_delivers_exception(self):
-        sim = Simulator()
-        ev = sim.event()
-        got = []
-        ev.add_callback(lambda e: got.append((e.failed, type(e.value))))
-        ev.fail(RuntimeError("boom"))
-        sim.run()
-        assert got == [(True, RuntimeError)]
-
-    def test_double_trigger_rejected(self):
-        sim = Simulator()
-        ev = sim.event()
-        ev.succeed(1)
-        with pytest.raises(SimulationError):
-            ev.succeed(2)
-
-    def test_fail_requires_exception(self):
-        sim = Simulator()
-        with pytest.raises(TypeError):
-            sim.event().fail("not an exception")
-
-    def test_value_before_trigger_raises(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            _ = sim.event().value
-
-    def test_late_callback_still_fires(self):
-        sim = Simulator()
-        ev = sim.event()
-        ev.succeed("v")
-        sim.run()
-        got = []
-        ev.add_callback(lambda e: got.append(e.value))
-        sim.run()
-        assert got == ["v"]
-
-    def test_timeout_event(self):
-        sim = Simulator()
-        ev = sim.timeout(2.5, value="done")
-        got = []
-        ev.add_callback(lambda e: got.append((sim.now, e.value)))
-        sim.run()
-        assert got == [(2.5, "done")]
-
-    def test_any_of_first_wins(self):
-        sim = Simulator()
-        slow = sim.timeout(5.0, value="slow")
-        fast = sim.timeout(1.0, value="fast")
-        comp = sim.any_of(slow, fast)
-        got = []
-        comp.add_callback(lambda e: got.append(e.value.value))
-        sim.run()
-        assert got == ["fast"]
-
-    def test_all_of_collects_values(self):
-        sim = Simulator()
-        a = sim.timeout(1.0, value="a")
-        b = sim.timeout(2.0, value="b")
-        comp = sim.all_of(a, b)
-        got = []
-        comp.add_callback(lambda e: got.append(e.value))
-        sim.run()
-        assert got == [("a", "b")]
-        assert sim.now == 2.0
-
-    def test_all_of_fails_fast(self):
-        sim = Simulator()
-        ok = sim.timeout(5.0)
-        bad = sim.event()
-        comp = sim.all_of(ok, bad)
-        got = []
-        comp.add_callback(lambda e: got.append(e.failed))
-        bad.fail(ValueError("x"))
-        sim.run_until(1.0)
-        assert got == [True]
-
-    def test_empty_composites_rejected(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            sim.any_of()
-        with pytest.raises(SimulationError):
-            sim.all_of()
 
 
 class TestStrictScheduling:
