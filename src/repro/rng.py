@@ -10,16 +10,28 @@ via ``numpy.random.SeedSequence`` entropy spawning, so:
   order in which components are constructed;
 * changing one component's draws (e.g. sampling fading more often) never
   perturbs any other component's stream.
+
+:func:`derive_seed` through numpy is the reference derivation.
+:func:`pcg64_states` is its bulk path for callers that seed thousands of
+single-use streams at once (the vector engine's per-node churn chains):
+it must return exactly the PCG64 state :meth:`RngRegistry.derive` starts
+from, which ``tests/test_rng.py`` checks against numpy.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Iterable, Union
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
-__all__ = ["RngRegistry", "NormalBlockCache", "as_normal_cache", "derive_seed"]
+__all__ = [
+    "RngRegistry",
+    "NormalBlockCache",
+    "as_normal_cache",
+    "derive_seed",
+    "pcg64_states",
+]
 
 
 def derive_seed(master_seed: int, name: str) -> np.random.SeedSequence:
@@ -30,6 +42,104 @@ def derive_seed(master_seed: int, name: str) -> np.random.SeedSequence:
     """
     tag = zlib.crc32(name.encode("utf-8"))
     return np.random.SeedSequence(entropy=master_seed, spawn_key=(tag,))
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+# and PCG64's 128-bit LCG multiplier (pcg64.h).
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M128 = (1 << 128) - 1
+
+
+def _hashmix(value: int, hash_const: int) -> Tuple[int, int]:
+    value = (value ^ hash_const) & _M32
+    hash_const = (hash_const * _MULT_A) & _M32
+    value = (value * hash_const) & _M32
+    return value ^ (value >> 16), hash_const
+
+
+def _mix(x: int, y: int) -> int:
+    r = (_MIX_L * x - _MIX_R * y) & _M32
+    return r ^ (r >> 16)
+
+
+def pcg64_states(master_seed: int, names: Sequence[str]) -> List[Tuple[int, int]]:
+    """The PCG64 ``(state, inc)`` that :meth:`RngRegistry.derive` starts from.
+
+    Bulk form of ``derive(name).bit_generator.state["state"]`` for every
+    name, bit for bit: ``SeedSequence(master_seed, spawn_key=(crc32,))``
+    hashes the master seed's words into its pool first and the name's
+    spawn word last, so the pool before that last word is computed once;
+    the last word is mixed in, and ``generate_state(4, uint64)`` run, for
+    all names at once on uint32 arrays.  Each name's two 128-bit LCG
+    seeding steps run on Python ints.  Re-seat one ``PCG64`` per name
+    through its ``state`` setter to draw from the stream.
+    """
+    if master_seed < 0:
+        raise ValueError(f"master_seed must be >= 0, got {master_seed}")
+    words = []
+    rest = int(master_seed)
+    while True:
+        words.append(rest & _M32)
+        rest >>= 32
+        if not rest:
+            break
+    # A spawn key pads short run entropy to the pool size with zeros.
+    words += [0] * (_POOL - len(words))
+    pool = []
+    hc = _INIT_A
+    for w in words[:_POOL]:
+        v, hc = _hashmix(w, hc)
+        pool.append(v)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                v, hc = _hashmix(pool[src], hc)
+                pool[dst] = _mix(pool[dst], v)
+    for w in words[_POOL:]:
+        for dst in range(_POOL):
+            v, hc = _hashmix(w, hc)
+            pool[dst] = _mix(pool[dst], v)
+    # The name's spawn word, mixed into each pool word for every name.
+    tags = np.fromiter(
+        (zlib.crc32(name.encode("utf-8")) for name in names),
+        dtype=np.uint32,
+        count=len(names),
+    )
+    mixed = []
+    for dst in range(_POOL):
+        hc_in = hc
+        hc = (hc * _MULT_A) & _M32
+        v = (tags ^ np.uint32(hc_in)) * np.uint32(hc)
+        v ^= v >> np.uint32(16)
+        r = np.uint32((_MIX_L * pool[dst]) & _M32) - np.uint32(_MIX_R) * v
+        mixed.append(r ^ (r >> np.uint32(16)))
+    # generate_state(4, uint64): eight uint32 words, read little-endian
+    # in pairs.
+    hb = _INIT_B
+    out32 = []
+    for i in range(2 * _POOL):
+        hb_in = hb
+        hb = (hb * _MULT_B) & _M32
+        d = (mixed[i % _POOL] ^ np.uint32(hb_in)) * np.uint32(hb)
+        out32.append(d ^ (d >> np.uint32(16)))
+    s_hi, s_lo, i_hi, i_lo = (
+        (
+            out32[2 * j].astype(np.uint64)
+            | (out32[2 * j + 1].astype(np.uint64) << np.uint64(32))
+        ).tolist()
+        for j in range(4)
+    )
+    states = []
+    for a, b, c, d in zip(s_hi, s_lo, i_hi, i_lo):
+        # pcg_setseq_128_srandom_r: state = 0, step, += seed, step.
+        inc = ((((c << 64) | d) << 1) | 1) & _M128
+        states.append(((((inc + ((a << 64) | b)) * _PCG_MULT) + inc) & _M128, inc))
+    return states
 
 
 class NormalBlockCache:

@@ -65,7 +65,7 @@ from ..energy import RadioEnergyModel
 from ..errors import ConfigError
 from ..metrics.lifetime import death_spread_s, first_death_s, network_lifetime_s
 from ..phy import AbicmTable
-from ..rng import RngRegistry
+from ..rng import RngRegistry, pcg64_states
 from ..routing import plan_routes
 from .profile import attach as _attach_profiler
 from .state import ArStep, BatchReservoir, PerTables, SeriesRecorder
@@ -151,6 +151,14 @@ class _DynamicsReplay:
     time-sorted agenda.  The stable sort preserves the event kernel's
     push order for equal-time scripted entries (scripted failures, then
     scripted recoveries, then chain arms).
+
+    The per-node churn streams come from the bulk path
+    :func:`repro.rng.pcg64_states`, which must equal
+    :meth:`RngRegistry.derive` for every name: one ``PCG64`` is re-seated
+    to each node's start state and that node's whole chain (gap,
+    downtime, next gap, ...) is drawn before the next node's, so every
+    draw is the one ``rngs.stream(f"dynamics/churn/{i}")`` would give.
+    Nothing reads those streams again, so none is kept in the registry.
     """
 
     def __init__(self, cfg: NetworkConfig, rngs: RngRegistry, horizon_s: float):
@@ -173,8 +181,16 @@ class _DynamicsReplay:
             if t <= horizon_s:
                 agenda.append((float(t), "srecover", int(node)))
         if dyn.failure_rate_hz > 0:
-            for node in range(cfg.n_nodes):
-                rng = rngs.stream(f"dynamics/churn/{node}")
+            names = [f"dynamics/churn/{node}" for node in range(cfg.n_nodes)]
+            bitgen = np.random.PCG64(0)
+            rng = np.random.Generator(bitgen)
+            for node, (state, inc) in enumerate(pcg64_states(rngs.master_seed, names)):
+                bitgen.state = {
+                    "bit_generator": "PCG64",
+                    "state": {"state": state, "inc": inc},
+                    "has_uint32": 0,
+                    "uinteger": 0,
+                }
                 t = float(rng.exponential(1.0 / dyn.failure_rate_hz))
                 while t <= horizon_s:
                     # Downtime drawn before the failure applies, exactly
@@ -440,6 +456,22 @@ class VectorNetwork:
         if self.cfg.dead_fraction >= 1.0:
             return dead >= n
         return dead >= math.floor(self.cfg.dead_fraction * n) + 1
+
+    def _qualifies(self, nodes: np.ndarray, t: float) -> np.ndarray:
+        """The MAC access rule at ``t``: which of ``nodes`` may contend.
+
+        A queue qualifies with a minimum burst queued, or with any packet
+        that has waited ``min_burst_wait_s``.  The race in
+        :meth:`_mac_step` and the tone-monitoring charge in
+        :meth:`_energy_settle` both apply it.
+        """
+        mac = self.cfg.mac
+        q = self.qlen[nodes]
+        # qstart is always stored reduced mod B: it indexes the ring as is.
+        oldest = self.qbirth[nodes, self.qstart[nodes]]
+        return (q >= mac.min_burst_packets) | (
+            (q > 0) & (t - oldest >= mac.min_burst_wait_s)
+        )
 
     # -- main loop -----------------------------------------------------------
 
@@ -835,28 +867,36 @@ class VectorNetwork:
         if self._onoff_nodes.size:
             ids = self._onoff_nodes
             on_frac = np.where(self._on_state[ids], sdt, 0.0)
-            crossing = np.flatnonzero(self._on_switch[ids] <= t0 + sdt)
-            for ci in crossing:
-                i = ids[ci]
-                tcur, tend = t0, t0 + sdt
-                on_time = 0.0
-                seg_start = tcur
-                while self._on_switch[i] <= tend:
-                    if self._on_state[i]:
-                        on_time += self._on_switch[i] - seg_start
-                    seg_start = max(self._on_switch[i], t0)
-                    self._on_state[i] = not self._on_state[i]
-                    mean = (
-                        self.cfg.traffic.onoff_on_s
-                        if self._on_state[i]
-                        else self.cfg.traffic.onoff_off_s
-                    )
-                    if mean <= 0:
-                        mean = self.cfg.traffic.onoff_on_s
-                    self._on_switch[i] += float(self._traf_rng.exponential(mean))
-                if self._on_state[i]:
-                    on_time += tend - seg_start
-                on_frac[ci] = on_time
+            tend = t0 + sdt
+            crossing = np.flatnonzero(self._on_switch[ids] <= tend)
+            if crossing.size:
+                # The crossing nodes' clocks and phases as plain floats
+                # and bools: the same exponential draws in the same
+                # order, the same double arithmetic, one write-back.
+                cids = ids[crossing]
+                on_mean = cfg.onoff_on_s
+                off_mean = cfg.onoff_off_s if cfg.onoff_off_s > 0 else on_mean
+                draw = self._traf_rng.exponential
+                switch, state, on_times = [], [], []
+                for sw, on in zip(
+                    self._on_switch[cids].tolist(), self._on_state[cids].tolist()
+                ):
+                    on_time = 0.0
+                    seg_start = t0
+                    while sw <= tend:
+                        if on:
+                            on_time += sw - seg_start
+                        seg_start = max(sw, t0)
+                        on = not on
+                        sw += float(draw(on_mean if on else off_mean))
+                    if on:
+                        on_time += tend - seg_start
+                    switch.append(sw)
+                    state.append(on)
+                    on_times.append(on_time)
+                self._on_switch[cids] = switch
+                self._on_state[cids] = state
+                on_frac[crossing] = on_times
             burst_lam = np.where(up[ids], self._onoff_rate, 0.0) * on_frac
             k[ids] = self._traf_rng.poisson(burst_lam)
         total = int(k.sum())
@@ -964,14 +1004,14 @@ class VectorNetwork:
                 rows = rows[self.busy[self.m_cl[rows]] < t1]
             if rows.size == 0:
                 break
-            nodes = ids[rows]
-            q = self.qlen[nodes]
-            oldest = self.qbirth[nodes, self.qstart[nodes] % self.B]
-            ready = (q >= mac.min_burst_packets) | (
-                (q > 0) & (t1 - oldest >= mac.min_burst_wait_s)
-            )
-            ridx = rows[ready]
-            if ridx.size == 0:
+            # Readiness only falls within a step: a member's queue moves
+            # in the MAC phase only if it raced (a winner's burst is
+            # popped, an exhausted collider's is shed), and a member
+            # that is not ready never races.  So dropping the unready
+            # rows for good drops no one a later sub-iteration would
+            # find ready; winners stay and are re-tested next time.
+            rows = rows[self._qualifies(ids[rows], t1)]
+            if rows.size == 0:
                 break
             # Pulse-eligibility flicker: a ready sensor only joins the
             # race if it has accumulated the 8 ms sensing delay by the
@@ -980,8 +1020,8 @@ class VectorNetwork:
             # per-race collision probability matches the event kernel
             # (without it every ready member races every sub-iteration
             # and episodes over-count ~1.4x).
-            join = self._mac_rng.random(ridx.size) < _MAC_JOIN_P
-            cidx = ridx[join]
+            join = self._mac_rng.random(rows.size) < _MAC_JOIN_P
+            cidx = rows[join]
             if cidx.size == 0:
                 continue
             cl = self.m_cl[cidx]
@@ -992,7 +1032,8 @@ class VectorNetwork:
                 * self._backoff_scale
             )
             # Winner per cluster: stable descending argsort + last-write
-            # leaves the smallest delay (first occurrence on ties).
+            # leaves the smallest delay; on ties the last occurrence in
+            # ``cidx`` order wins (tied candidates 20 and 30 give 30).
             order = np.argsort(-dly, kind="stable")
             winner = np.full(h, -1, dtype=np.int64)
             winner[cl[order]] = cidx[order]
@@ -1400,13 +1441,8 @@ class VectorNetwork:
         # (CaemSensorMac._consider_access -> _go_sleep), so idle-queue
         # members spend the step at sleep power, not monitor power.
         if self.m_ids.size:
-            mac = self.cfg.mac
             ids = self.m_ids
-            q = self.qlen[ids]
-            oldest = self.qbirth[ids, self.qstart[ids] % self.B]
-            qual = (q >= mac.min_burst_packets) | (
-                (q > 0) & (t0 + sdt - oldest >= mac.min_burst_wait_s)
-            )
+            qual = self._qualifies(ids, t0 + sdt)
             att = ids[qual & self.attached[ids] & up[ids]]
         else:
             att = np.empty(0, dtype=np.int64)

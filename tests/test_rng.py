@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.rng import RngRegistry, derive_seed
+from repro.rng import RngRegistry, derive_seed, pcg64_states
 
 
 class TestDeriveSeed:
@@ -64,3 +66,55 @@ class TestRngRegistry:
 
     def test_master_seed_property(self):
         assert RngRegistry(17).master_seed == 17
+
+
+class TestBulkStates:
+    """``pcg64_states`` must equal numpy's ``derive`` seeding, bit for bit.
+
+    This is the check that catches a numpy release that changes
+    ``SeedSequence`` or PCG64 seeding: the bulk path re-implements both.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # 1-word, 2-word, ... up to more-than-4-word seed entropy.
+        master_seed=st.integers(min_value=0, max_value=2**130 - 1),
+        names=st.lists(
+            st.one_of(
+                st.text(max_size=12),  # empty and non-ASCII names
+                st.sampled_from(["dynamics/churn/0", "fading/link-3", "é"]),
+            ),
+            max_size=8,
+        ),
+    )
+    def test_matches_numpy_derivation(self, master_seed, names):
+        names = names + names[:2]  # duplicate names
+        reg = RngRegistry(master_seed)
+        states = pcg64_states(master_seed, names)
+        assert len(states) == len(names)
+        bitgen = np.random.PCG64(0)
+        bulk = np.random.Generator(bitgen)
+        for name, (state, inc) in zip(names, states):
+            ref = reg.derive(name)
+            assert ref.bit_generator.state["state"] == {"state": state, "inc": inc}
+            bitgen.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            assert bulk.random() == ref.random()
+            assert bulk.exponential(2.5) == ref.exponential(2.5)
+            assert bulk.standard_normal() == ref.standard_normal()
+
+    def test_word_boundary_seeds(self):
+        names = ["", "a", "dynamics/churn/9999"]
+        for seed in (0, 2**32 - 1, 2**32, 2**64, 2**128 - 1, 2**128, 2**160):
+            reg = RngRegistry(seed)
+            starts = [reg.derive(n).bit_generator.state["state"] for n in names]
+            expect = [(s["state"], s["inc"]) for s in starts]
+            assert pcg64_states(seed, names) == expect
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError):
+            pcg64_states(-1, ["a"])

@@ -13,11 +13,13 @@ statistical check run under ``-m slow``.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
+import math
 
 import pytest
 
-from repro.config import NetworkConfig
+from repro.config import NetworkConfig, Protocol
 from repro.errors import ExperimentError
 from repro.vector.equivalence import (
     SCENARIOS,
@@ -279,3 +281,157 @@ class TestHarnessCli:
         opts = default_options()
         assert opts.horizon_s == 40.0
         assert opts.sample_interval_s == 5.0
+
+
+#: Node churn shared by the pinned cases: the ``churn-vector`` benchmark
+#: workload's failure rate and mean downtime.
+_PIN_CHURN = dict(failure_rate_hz=0.005, mean_downtime_s=40.0)
+
+
+def _pin_config(case: str) -> NetworkConfig:
+    """One pinned vector-engine scenario (constant density, see ext-scale)."""
+    n = 300 if case == "multihop_churn" else 1500
+    seed = 2**40 + 7 if case == "seed_above_2_32" else 1
+    cfg = NetworkConfig(
+        n_nodes=n, field_size_m=100.0 * (n / 100.0) ** 0.5, seed=seed
+    ).with_scale(backend="vector")
+    if case == "churn_jitter_regime_bursty":
+        # Regime shifts every ~10 s, so some land inside the 25 s window.
+        return cfg.with_dynamics(
+            **_PIN_CHURN,
+            battery_jitter=0.3,
+            regime_mean_interval_s=10.0,
+            regime_sigma_db=3.0,
+            bursty_fraction=0.5,
+        )
+    if case == "onoff":
+        return cfg.with_traffic(source_model="onoff")
+    if case == "multihop_churn":
+        # At N=300 packets reach the sink; at N=1500 the shared uplink
+        # overflows so far that the sink receives none.
+        return (
+            cfg.with_routing(mode="multihop")
+            .with_traffic(packets_per_second=2.0)
+            .with_dynamics(**_PIN_CHURN)
+        )
+    if case == "pure_leach_churn":
+        return cfg.with_protocol(Protocol.PURE_LEACH).with_dynamics(**_PIN_CHURN)
+    if case == "jakes_rician_churn":
+        channel = dataclasses.replace(
+            cfg.channel, fading_kernel="jakes", rician_k=4.0
+        )
+        return dataclasses.replace(cfg, channel=channel).with_dynamics(
+            **_PIN_CHURN
+        )
+    if case == "permanent_scripted":
+        return cfg.with_dynamics(
+            failure_rate_hz=0.005,
+            mean_downtime_s=0.0,
+            scripted_failures=((3.0, 7),),
+            scripted_recoveries=((12.0, 7),),
+        )
+    if case == "seed_above_2_32":
+        return cfg.with_dynamics(**_PIN_CHURN)
+    raise ValueError(case)
+
+
+#: sha256 of ``RunResult.to_dict()`` without ``wall_time_s`` (the
+#: ``perfbench/workloads.py::fingerprint`` recipe) for each case, over a
+#: 25 s horizon: one round boundary (20 s) and its teardown.
+_PINS = {
+    "churn_jitter_regime_bursty": (
+        "bfc4e0aedccd20f0aabc40c22c3d1f9b"
+        "e4873efedc3141a23a1028338115d517"
+    ),
+    "onoff": (
+        "37caa9281a1a031403703de76b90af1a"
+        "546f85c9a956fbd4fc53e684124381fd"
+    ),
+    "multihop_churn": (
+        "be080604bfdac5a6e2c766f3483c0a1a"
+        "ead841de0b08828095ed98d051ba8601"
+    ),
+    "pure_leach_churn": (
+        "2e61fc2f763c1c74ec4685d25d91eda5"
+        "313094c865b3462596ab7f2213a2b6af"
+    ),
+    "jakes_rician_churn": (
+        "6aa30898d4ecf1e76a583071a2e78dfc"
+        "f5ab42dee215446dad2500729711282c"
+    ),
+    "permanent_scripted": (
+        "956e287372e1666bf79690073033bca7"
+        "c8594adc6edb6b10f2b7a389980e8bda"
+    ),
+    "seed_above_2_32": (
+        "31b3a20028723695f315b68593d2c40e"
+        "4fb4e1828367049e4ff362d81fc1a713"
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_PINS))
+def pinned_run(request):
+    """(case, RunResult, the VectorNetwork that produced it), run once."""
+    import repro.vector.engine as eng
+    from repro.api import RunOptions
+
+    nets = []
+
+    class _Kept(eng.VectorNetwork):
+        def run(self):
+            nets.append(self)
+            return super().run()
+
+    opts = RunOptions(horizon_s=25.0, sample_interval_s=5.0, max_series_samples=64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eng, "VectorNetwork", _Kept)
+        result = eng.simulate_vector(_pin_config(request.param), opts)
+    (net,) = nets
+    return request.param, result, net
+
+
+class TestPinnedOutputs:
+    """Every output byte of the vector engine, pinned per scenario.
+
+    A change that moves any ``RunResult`` field — one RNG draw reordered,
+    one race resolved differently — fails here.  Re-pin only with a
+    stated modelling fix.
+    """
+
+    def test_fingerprint(self, pinned_run):
+        case, result, _net = pinned_run
+        data = result.to_dict()
+        data.pop("wall_time_s")
+        digest = hashlib.sha256(
+            json.dumps(data, sort_keys=True).encode()
+        ).hexdigest()
+        assert digest == _PINS[case]
+
+
+class TestConservation:
+    """Every generated packet and every drawn joule is accounted for."""
+
+    def test_packets(self, pinned_run):
+        _case, result, net = pinned_run
+        accounted = (
+            net.delivered
+            + net.delivered_local
+            + net.lost_channel
+            + net.dropped_overflow
+            + net.dropped_retry
+            + net.orphaned
+            + net.uplink_lost_channel
+            + net.uplink_dropped_retry
+            + net.uplink_dropped_overflow
+            + net.uplink_stranded
+            + int(net.qlen.sum())
+            + sum(len(q) for q in net.relay_q)
+        )
+        assert net.generated == result.generated == accounted
+
+    def test_energy_ledger(self, pinned_run):
+        _case, _result, net = pinned_run
+        assert math.isclose(
+            float(net.drawn.sum()), sum(net.breakdown.values()), rel_tol=1e-9
+        )
