@@ -10,12 +10,16 @@ Everything that decides *how* a scenario grid runs lives here:
   the failure vocabulary (:class:`CellFailure`,
   :class:`CampaignIncompleteError`);
 * :mod:`~repro.exec.local` — :class:`SerialExecutor` and
-  :class:`PoolExecutor` (in-process / process pool);
-* :mod:`~repro.exec.supervised` — :class:`SupervisedExecutor`, the
-  process-per-cell watchdog/retry/quarantine executor;
-* :mod:`~repro.exec.board` / :mod:`~repro.exec.coordinator` /
-  :mod:`~repro.exec.worker` / :mod:`~repro.exec.distributed` — the
-  multi-host work-stealing backend.
+  :class:`PoolExecutor` (in-process / process pool), and
+  ``run_attempt``, the one body of a fault-tolerant cell attempt;
+* :mod:`~repro.exec.board` — :class:`LeaseBoard`, the one
+  retry/quarantine state machine, and ``settle``, the one loop that
+  turns a board into results, events and grid-ordered store writes;
+* :mod:`~repro.exec.supervised` — :class:`SupervisedExecutor`,
+  process-per-cell workers under a watchdog on a private board;
+* :mod:`~repro.exec.coordinator` / :mod:`~repro.exec.worker` /
+  :mod:`~repro.exec.distributed` — the multi-host work-stealing
+  backend, serving its board over HTTP.
 
 ``repro.api`` re-exports :class:`ExecutorSpec`, :func:`use_executor`
 and the failure vocabulary for campaign authors.

@@ -22,7 +22,11 @@ Backends: :class:`~repro.exec.local.SerialExecutor` (in-process),
 watchdog/retry/quarantine), and
 :class:`~repro.exec.distributed.DistributedExecutor` (multi-host
 work-stealing over HTTP).  :func:`get_executor` maps an
-:class:`~repro.exec.spec.ExecutorSpec` to the right one.
+:class:`~repro.exec.spec.ExecutorSpec` to the right one.  The two
+fault-tolerant backends share one failure state machine
+(:class:`~repro.exec.board.LeaseBoard`) and one settle loop
+(:func:`~repro.exec.board.settle`), so their retry, quarantine and
+flush behaviour, and the events they emit, are the same.
 """
 
 from __future__ import annotations

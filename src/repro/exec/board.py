@@ -1,21 +1,28 @@
-"""The lease board: pull-based work-stealing state for distributed runs.
+"""The lease board: the one failure state machine of fault-tolerant runs.
 
-The coordinator owns one :class:`LeaseBoard`; remote workers never push
-work to each other — an idle worker *pulls* the next pending cell by
-taking a **lease** on it.  A lease is a time-boxed exclusive claim:
+Only the board counts attempts, schedules retries and quarantines
+cells.  The distributed coordinator serves its board to remote workers
+over HTTP; the supervised executor keeps a private one that its forked
+children report to.  :func:`settle` is the one loop that turns a board
+into a campaign's results, events and grid-ordered store writes.
 
-* ``lease()`` hands out the oldest pending item FIFO and starts its
-  expiry clock (``lease_timeout_s``);
+An idle worker *pulls* the next pending cell by taking a **lease** on
+it.  A lease is a time-boxed exclusive claim:
+
+* ``lease()`` hands out the oldest ready pending item FIFO and starts
+  its expiry clock (``lease_timeout_s``); a cell backing off after a
+  failure keeps its place but is skipped until its delay has passed;
 * ``heartbeat()`` renews every lease a worker holds — a healthy worker
   heartbeats at a fraction of the timeout while simulating;
 * a lease that misses its heartbeat window **expires**: the cell counts
-  one failed attempt (the worker presumably crashed or vanished) and
-  returns to pending for the next idle worker to steal — this is the
-  entire crash-recovery story, there is no other failure detector;
+  one failed attempt of kind ``"lease"`` (the worker presumably crashed
+  or vanished) and returns to pending for the next idle worker to
+  steal — for remote workers there is no other failure detector;
 * ``complete()`` / ``fail()`` settle an attempt; first completion wins,
   and a straggler's late result for an already-settled item is
   acknowledged but discarded (results are deterministic, so a duplicate
-  is byte-identical anyway).
+  is byte-identical anyway).  Each failed attempt's ``(kind, error)``
+  stays on the item, so every one is reported exactly once.
 
 Items are keyed by pairing key, so two overlapping campaigns submitted
 to the same board **share** cells: the second ``submit`` of a key
@@ -24,7 +31,7 @@ and both campaigns observe the one settled result.
 
 Attempts exhausted → ``quarantined`` (the PR 8 vocabulary), carried
 back to the campaign as a :class:`~repro.exec.base.CellFailure`.
-Administrative release (``release_worker`` / ``release_all``, used by
+Administrative release (``release_all``, used by
 ``JobManager.shutdown``) refunds the attempt: shutdown is not the
 cell's fault, so it must never push a cell toward quarantine.
 
@@ -38,9 +45,14 @@ import itertools
 import threading
 import time
 import uuid
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["LeaseBoard", "WorkItem", "PENDING", "LEASED", "DONE", "QUARANTINED"]
+from .base import CellFailure, ExecutionHooks
+
+__all__ = [
+    "LeaseBoard", "WorkItem", "settle",
+    "PENDING", "LEASED", "DONE", "QUARANTINED",
+]
 
 PENDING = "pending"
 LEASED = "leased"
@@ -53,8 +65,8 @@ class WorkItem:
 
     __slots__ = (
         "item_id", "key", "payload", "max_attempts", "status", "attempts",
-        "lease_id", "worker", "expires_at", "result", "error", "refs",
-        "describe",
+        "lease_id", "worker", "expires_at", "not_before", "result",
+        "failures", "refs", "describe",
     )
 
     def __init__(self, item_id, key, payload, max_attempts, describe=""):
@@ -68,19 +80,17 @@ class WorkItem:
         self.lease_id: Optional[str] = None
         self.worker: Optional[str] = None
         self.expires_at: Optional[float] = None
+        #: Monotonic time before which a backing-off cell is not leased.
+        self.not_before = 0.0
         self.result: Optional[Dict[str, Any]] = None
-        self.error: Optional[str] = None
+        #: ``(kind, error)`` of every failed attempt, in attempt order.
+        self.failures: List[Tuple[str, str]] = []
         self.refs = 0
 
-    def snapshot(self) -> Dict[str, Any]:
-        return {
-            "item_id": self.item_id,
-            "status": self.status,
-            "attempts": self.attempts,
-            "worker": self.worker,
-            "refs": self.refs,
-            "describe": self.describe,
-        }
+    @property
+    def error(self) -> Optional[str]:
+        """The latest failed attempt's error (``None`` before any)."""
+        return self.failures[-1][1] if self.failures else None
 
 
 class LeaseBoard:
@@ -139,16 +149,22 @@ class LeaseBoard:
     # -- worker side ---------------------------------------------------
 
     def lease(self, worker: str) -> Optional[Dict[str, Any]]:
-        """Hand the oldest pending cell to ``worker``, or None if idle."""
+        """Hand the oldest ready pending cell to ``worker``, or None."""
         with self._cond:
             now = time.monotonic()
             self._expire_locked(now)
             self._worker_seen[worker] = now
-            while self._queue:
-                key = self._queue.pop(0)
+            pos = 0
+            while pos < len(self._queue):
+                key = self._queue[pos]
                 item = self._items.get(key)
                 if item is None or item.status != PENDING:
-                    continue  # settled or GC'd while queued
+                    del self._queue[pos]  # settled or GC'd while queued
+                    continue
+                if item.not_before > now:
+                    pos += 1  # backing off: later cells go first
+                    continue
+                del self._queue[pos]
                 item.status = LEASED
                 item.attempts += 1
                 item.worker = worker
@@ -214,8 +230,18 @@ class LeaseBoard:
             self._cond.notify_all()
             return True
 
-    def fail(self, lease_id: str, error: str) -> bool:
-        """Record a failed attempt; re-queue or quarantine."""
+    def fail(
+        self,
+        lease_id: str,
+        error: str,
+        kind: str = "error",
+        retry_after: float = 0.0,
+    ) -> bool:
+        """Record a failed attempt of ``kind``; re-queue or quarantine.
+
+        A re-queued cell is not leased again for ``retry_after`` seconds
+        (the supervised executor's backoff); cells behind it go first.
+        """
         with self._cond:
             key = self._leases.pop(lease_id, None)
             if key is None:
@@ -226,7 +252,7 @@ class LeaseBoard:
             item = self._items.get(key)
             if item is None or item.status != LEASED:
                 return False
-            self._fail_locked(item, error)
+            self._fail_locked(item, kind, error, retry_after)
             self._cond.notify_all()
             return True
 
@@ -238,24 +264,6 @@ class LeaseBoard:
         with self._cond:
             if self._expire_locked(time.monotonic()):
                 self._cond.notify_all()
-
-    def release_worker(self, worker: str) -> int:
-        """Administratively return ``worker``'s leased cells to pending.
-
-        The attempt is refunded: an operator draining a worker (or
-        ``JobManager.shutdown``) must not push cells toward quarantine.
-        """
-        with self._cond:
-            released = 0
-            for lease_id, key in list(self._leases.items()):
-                item = self._items.get(key)
-                if item is not None and item.status == LEASED and \
-                        item.worker == worker:
-                    self._release_locked(item, lease_id)
-                    released += 1
-            if released:
-                self._cond.notify_all()
-            return released
 
     def release_all(self) -> int:
         """Return every leased cell to pending (coordinator shutdown)."""
@@ -269,6 +277,11 @@ class LeaseBoard:
             if released:
                 self._cond.notify_all()
             return released
+
+    def observe(self, item: WorkItem) -> Tuple[str, int, List[Tuple[str, str]]]:
+        """One consistent ``(status, attempts, failures)`` view of ``item``."""
+        with self._cond:
+            return item.status, item.attempts, list(item.failures)
 
     def wait(self, timeout: Optional[float] = None) -> None:
         """Block until the board changes (settle/submit) or timeout."""
@@ -307,6 +320,7 @@ class LeaseBoard:
                 self._expired[lease_id] = key
                 self._fail_locked(
                     item,
+                    "lease",
                     f"lease expired after {self.lease_timeout_s:g}s — "
                     f"worker {item.worker!r} missed its heartbeat "
                     f"(crashed, killed, or partitioned)",
@@ -314,16 +328,18 @@ class LeaseBoard:
                 expired += 1
         return expired
 
-    def _fail_locked(self, item: WorkItem, error: str) -> None:
+    def _fail_locked(
+        self, item: WorkItem, kind: str, error: str, retry_after: float = 0.0
+    ) -> None:
+        item.failures.append((kind, error))
         item.lease_id = None
         item.expires_at = None
         if item.attempts >= item.max_attempts:
             item.status = QUARANTINED
-            item.error = error
             self._purge_expired_locked(item.key)
         else:
             item.status = PENDING
-            item.error = error
+            item.not_before = time.monotonic() + retry_after
             self._queue.append(item.key)
 
     def _purge_expired_locked(self, key) -> None:
@@ -340,3 +356,106 @@ class LeaseBoard:
         item.worker = None
         item.expires_at = None
         self._queue.append(item.key)
+
+
+def settle(
+    board: LeaseBoard,
+    scenarios: Sequence,
+    payloads: Sequence,
+    hooks: ExecutionHooks,
+    max_attempts: int,
+    pump: Callable[[], None],
+    decode: Callable[[Any], Any] = lambda result: result,
+) -> Tuple[List[Optional[Any]], List[CellFailure]]:
+    """The settle loop of both fault-tolerant executors.
+
+    Submits each scenario by pairing key with its ``payloads`` entry,
+    then repeats, in the caller's thread: sweep the board; emit one
+    ``retry`` event per failed attempt and one ``cell`` or
+    ``quarantine`` event per settled cell; flush the settled prefix
+    through ``hooks.flush_done`` in grid order; call ``pump``, the
+    executor's wait for progress.  ``decode`` turns a board result into
+    this campaign's own result object.  Returns ``(results, failures)``
+    like :meth:`~repro.exec.base.CampaignExecutor.execute`; an
+    exception, a failing store's included, propagates.
+    """
+    from ..api.pairing import scenario_key
+
+    total = len(scenarios)
+    items: List[WorkItem] = []
+    shared: List[bool] = []
+    for scenario, payload in zip(scenarios, payloads):
+        item, dup = board.submit(
+            scenario_key(scenario),
+            payload,
+            max_attempts=max_attempts,
+            describe=scenario.describe(),
+        )
+        items.append(item)
+        shared.append(dup)
+    results: List[Optional[Any]] = [None] * total
+    failures: List[CellFailure] = []
+    settled = [False] * total
+    reported = [0] * total  # failed attempts already sent as retry events
+    flushed = 0
+    try:
+        while True:
+            board.sweep()
+            for index in range(flushed, total):
+                if settled[index]:
+                    continue
+                item = items[index]
+                status, attempts, history = board.observe(item)
+                retried = history[:-1] if status == QUARANTINED else history
+                for attempt in range(reported[index] + 1, len(retried) + 1):
+                    kind, error = retried[attempt - 1]
+                    hooks.emit({
+                        "type": "retry",
+                        "index": index,
+                        "total": total,
+                        "attempt": attempt,
+                        "max_attempts": item.max_attempts,
+                        "kind": kind,
+                        "error": error,
+                    })
+                reported[index] = len(retried)
+                if status == DONE:
+                    results[index] = decode(item.result)
+                    hooks.emit({
+                        "type": "cell",
+                        "index": index,
+                        "total": total,
+                        "source": "sim",
+                        "attempts": attempts,
+                        "worker": item.worker,
+                        "shared": shared[index],
+                        "scenario": scenarios[index].describe(),
+                    })
+                elif status == QUARANTINED:
+                    error = history[-1][1]
+                    failures.append(CellFailure(
+                        index=index,
+                        scenario=scenarios[index],
+                        attempts=attempts,
+                        error=error,
+                    ))
+                    hooks.record_quarantine(scenarios[index], error)
+                    hooks.emit({
+                        "type": "quarantine",
+                        "index": index,
+                        "total": total,
+                        "attempts": attempts,
+                        "error": error,
+                    })
+                settled[index] = status in (DONE, QUARANTINED)
+            while flushed < total and settled[flushed]:
+                hooks.flush_done(
+                    flushed, total, scenarios[flushed], results[flushed]
+                )
+                flushed += 1
+            if flushed == total:
+                return results, failures
+            pump()
+    finally:
+        for item in items:
+            board.retire(item)

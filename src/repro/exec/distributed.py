@@ -12,16 +12,20 @@ Two properties make the output indistinguishable from a serial run:
 * **determinism** — every cell's result is a pure function of its
   scenario, so *which* worker ran it (and how many attempts it took)
   cannot change a byte of the result;
-* **write-behind settled-prefix flush** — results settle on the board
-  in whatever order workers finish, but a background flusher thread
-  applies ``store.append`` / ``manifest.record_done`` / ``progress``
-  strictly in grid order as the completed prefix grows.  The flush is
-  asynchronous (the observe loop never blocks on store I/O) yet the
-  on-disk order is exactly the serial one.
+* **settled-prefix flush** — results settle on the board in whatever
+  order workers finish, but the shared
+  :func:`~repro.exec.board.settle` loop applies ``store.append`` /
+  ``manifest.record_done`` / ``progress`` in the caller's thread,
+  strictly in grid order as the completed prefix grows, so the on-disk
+  order is exactly the serial one and a failing store fails the call.
+
+Retries, quarantine and the events that report them are the board's
+and the settle loop's, shared with the supervised executor; this
+executor only supplies the wait between passes (``board.wait``).
 
 Cells are submitted by pairing key, so two campaigns sharing a board
 dedup at lease time: a cell both need is simulated once and both
-campaigns' flushers write the settled result (each from its own
+campaigns write the settled result (each from its own
 :class:`RunResult` copy — provenance stamps don't bleed across).
 
 With no ``board`` argument the executor **self-hosts**: it starts a
@@ -36,11 +40,10 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
-import threading
 from typing import Any, List, Optional, Sequence, Tuple
 
 from .base import CampaignExecutor, CellFailure, ExecutionHooks
-from .board import DONE, QUARANTINED, LeaseBoard
+from .board import LeaseBoard, settle
 from .spec import ExecutorSpec
 from .wire import result_from_wire, scenario_to_wire
 
@@ -109,128 +112,14 @@ class DistributedExecutor(CampaignExecutor):
         scenarios: Sequence,
         hooks: Optional[ExecutionHooks] = None,
     ) -> Tuple[List[Optional[Any]], List[CellFailure]]:
-        from ..api.pairing import scenario_key
-
-        hooks = hooks or ExecutionHooks()
         self._ensure_server()
         board = self.board
         scenarios = list(scenarios)
-        total = len(scenarios)
-        results: List[Optional[Any]] = [None] * total
-        failures: List[CellFailure] = []
-
-        items = []
-        shared_flags = []
-        for sc in scenarios:
-            item, shared = board.submit(
-                scenario_key(sc),
-                scenario_to_wire(sc),
-                max_attempts=self.spec.max_attempts,
-                describe=sc.describe(),
-            )
-            items.append(item)
-            shared_flags.append(shared)
-
-        # Write-behind flusher: applies store/manifest/progress side
-        # effects strictly in grid order as the settled prefix grows,
-        # without ever blocking the observe loop on store I/O.
-        settled = [False] * total
-        flush_cond = threading.Condition()
-        aborted = False
-
-        def flusher() -> None:
-            flushed = 0
-            while flushed < total:
-                with flush_cond:
-                    while not settled[flushed]:
-                        if aborted:
-                            return
-                        flush_cond.wait(0.2)
-                hooks.flush_done(
-                    flushed, total, scenarios[flushed], results[flushed]
-                )
-                flushed += 1
-
-        flush_thread = threading.Thread(
-            target=flusher, name="repro-dist-flusher", daemon=True
+        return settle(
+            board, scenarios, [scenario_to_wire(sc) for sc in scenarios],
+            hooks or ExecutionHooks(), self.spec.max_attempts,
+            pump=lambda: board.wait(0.1), decode=result_from_wire,
         )
-        flush_thread.start()
-
-        observed_attempts = [0] * total
-        remaining = set(range(total))
-        try:
-            while remaining:
-                board.sweep()
-                for index in sorted(remaining):
-                    item = items[index]
-                    attempts = item.attempts
-                    status = item.status
-                    if status not in (DONE, QUARANTINED):
-                        # Surface retries as they happen: attempts grew
-                        # past what we reported but the cell isn't
-                        # settled, so an earlier attempt failed.
-                        while observed_attempts[index] < attempts - 1:
-                            observed_attempts[index] += 1
-                            hooks.emit({
-                                "type": "retry",
-                                "index": index,
-                                "total": total,
-                                "attempt": observed_attempts[index],
-                                "max_attempts": item.max_attempts,
-                                "kind": "lease",
-                                "error": item.error,
-                            })
-                        continue
-                    remaining.discard(index)
-                    observed_attempts[index] = attempts
-                    if status == DONE:
-                        # A fresh RunResult per observer: campaigns
-                        # sharing this cell must not share the mutable
-                        # object (each stamps its own provenance).
-                        results[index] = result_from_wire(item.result)
-                        hooks.emit({
-                            "type": "cell",
-                            "index": index,
-                            "total": total,
-                            "source": "sim",
-                            "attempts": attempts,
-                            "worker": item.worker,
-                            "shared": shared_flags[index],
-                            "scenario": scenarios[index].describe(),
-                        })
-                    else:
-                        error = item.error or "quarantined"
-                        failures.append(CellFailure(
-                            index=index,
-                            scenario=scenarios[index],
-                            attempts=attempts,
-                            error=error,
-                        ))
-                        hooks.record_quarantine(scenarios[index], error)
-                        hooks.emit({
-                            "type": "quarantine",
-                            "index": index,
-                            "total": total,
-                            "attempts": attempts,
-                            "error": error,
-                        })
-                    with flush_cond:
-                        settled[index] = True
-                        flush_cond.notify_all()
-                if remaining:
-                    board.wait(0.1)
-        except BaseException:
-            with flush_cond:
-                aborted = True
-                flush_cond.notify_all()
-            flush_thread.join(timeout=5)
-            raise
-        finally:
-            for item in items:
-                board.retire(item)
-
-        flush_thread.join()
-        return results, failures
 
     def close(self) -> None:
         for proc in self._local_procs:

@@ -1,4 +1,4 @@
-"""In-process executors: serial and process-pool.
+"""In-process executors: serial and process-pool, plus the cell bodies.
 
 Extracted verbatim from the original ``run_scenarios`` body so the two
 oldest execution paths keep their exact observable behaviour — the
@@ -7,21 +7,62 @@ shows the cell in flight), the pool path reports as ordered results
 arrive; both collect results in input order and let cell exceptions
 propagate (fault tolerance is the supervised/distributed executors'
 job).
+
+:func:`run_attempt` is the one body of a fault-tolerant attempt: the
+supervised executor's child process and the distributed worker loop
+both run a cell through it.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from .base import CampaignExecutor, CellFailure, ExecutionHooks
 
-__all__ = ["SerialExecutor", "PoolExecutor", "execute_scenario"]
+__all__ = ["SerialExecutor", "PoolExecutor", "execute_scenario", "run_attempt"]
 
 
 def execute_scenario(scenario):
     """Top-level (picklable) worker body: run one scenario."""
     return scenario.run()
+
+
+def run_attempt(scenario, attempt: int) -> Tuple[str, Any]:
+    """One attempt at a cell: ``("ok", RunResult)`` or ``("error", traceback)``.
+
+    Runs the chaos hook, then the simulation.  A hard death (crash
+    injection, SIGKILL, OOM) returns nothing; pipe EOF or lease expiry
+    tells the caller instead.
+    """
+    try:
+        consult_worker_faults(scenario, attempt)
+        return "ok", execute_scenario(scenario)
+    except Exception:  # noqa: BLE001 - a cell failure is reported, not raised
+        import traceback
+
+        return "error", traceback.format_exc()
+
+
+def consult_worker_faults(scenario, attempt: int) -> None:
+    """Chaos hook: let an active fault plan crash/stall this worker.
+
+    The key includes the cell's pairing key *and* the attempt number, so
+    "crash on attempt 1, succeed on attempt 2" is a deterministic,
+    replayable scenario (see :mod:`repro.service.faults`).
+    """
+    if not os.environ.get("REPRO_FAULTS"):
+        return
+    from ..service.faults import active_faults
+
+    faults = active_faults()
+    if faults is None:
+        return
+    from ..api.pairing import scenario_key
+
+    key = "|".join(map(str, scenario_key(scenario))) + f"|attempt={attempt}"
+    faults.worker_entry(key)
 
 
 class SerialExecutor(CampaignExecutor):

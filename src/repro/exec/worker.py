@@ -28,7 +28,7 @@ import urllib.error
 import urllib.request
 from typing import Any, Dict, Optional
 
-from .supervised import consult_worker_faults
+from .local import run_attempt
 from .wire import scenario_from_wire
 
 __all__ = ["run_worker", "WorkerStats"]
@@ -126,23 +126,26 @@ def run_worker(
         heart = threading.Thread(target=beat, daemon=True)
         heart.start()
         try:
-            scenario = scenario_from_wire(lease["cell"])
-            consult_worker_faults(scenario, attempt)
-            run = scenario.run()
-            report = {"lease_id": lease_id, "worker": worker,
-                      "run": run.to_dict()}
-            stats.cells_done += 1
-            say(f"done {lease.get('describe') or lease_id}")
-        except BaseException:  # noqa: BLE001 - report, don't die
-            import traceback
+            try:
+                scenario = scenario_from_wire(lease["cell"])
+            except Exception:  # noqa: BLE001 - a payload this build can't read
+                import traceback
 
-            report = {"lease_id": lease_id, "worker": worker,
-                      "error": traceback.format_exc()}
-            stats.cells_failed += 1
-            say(f"failed {lease.get('describe') or lease_id}")
+                status, value = "error", traceback.format_exc()
+            else:
+                status, value = run_attempt(scenario, attempt)
         finally:
             done.set()
             heart.join(timeout=2)
+        report = {"lease_id": lease_id, "worker": worker}
+        if status == "ok":
+            report["run"] = value.to_dict()
+            stats.cells_done += 1
+            say(f"done {lease.get('describe') or lease_id}")
+        else:
+            report["error"] = value
+            stats.cells_failed += 1
+            say(f"failed {lease.get('describe') or lease_id}")
 
         try:
             _post(f"{base}/work/result", report)

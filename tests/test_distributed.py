@@ -152,6 +152,41 @@ class TestLeaseBoard:
         fresh, shared = board.submit(("k",), {})
         assert not shared and fresh is not item
 
+    def test_backing_off_cell_lets_later_cells_go_first(self):
+        board = LeaseBoard()
+        item, _ = board.submit(("a",), {})
+        lease = board.lease("w")
+        board.fail(lease["lease_id"], "boom", kind="crash", retry_after=0.2)
+        board.submit(("b",), {})  # queued behind the re-queued "a"
+        assert board.lease("w")["key"] == ["b"]
+        assert board.lease("w") is None  # "a" is still backing off
+        time.sleep(0.25)
+        retry = board.lease("w")
+        assert retry["key"] == ["a"] and retry["attempt"] == 2
+
+    def test_failures_record_each_attempts_kind_in_order(self):
+        board = LeaseBoard()
+        item, _ = board.submit(("k",), {}, max_attempts=3)
+        board.fail(board.lease("w")["lease_id"], "died", kind="crash")
+        board.fail(board.lease("w")["lease_id"], "hung", kind="timeout")
+        assert item.failures == [("crash", "died"), ("timeout", "hung")]
+        assert item.error == "hung"
+
+    def test_expired_lease_records_kind_lease(self):
+        board = LeaseBoard(lease_timeout_s=0.05)
+        item, _ = board.submit(("k",), {})
+        board.lease("w")
+        time.sleep(0.1)
+        board.sweep()
+        assert [kind for kind, _ in item.failures] == ["lease"]
+
+    def test_fail_defaults_to_error_and_requeues_at_once(self):
+        board = LeaseBoard()
+        item, _ = board.submit(("k",), {})
+        board.fail(board.lease("w")["lease_id"], "boom")
+        assert item.failures == [("error", "boom")]
+        assert board.lease("w")["attempt"] == 2
+
 
 class TestDistributedExecutor:
     """Full loop over loopback HTTP with in-thread workers."""
