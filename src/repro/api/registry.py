@@ -12,14 +12,15 @@ benches, and external scripts discover them through :func:`get_experiment`
 / :func:`list_experiments`.  The registry dispatches only the keyword
 arguments an experiment actually declares (``spec.run`` inspects the
 signature), so tables that take no preset and figures that take loads
-coexist behind one calling convention.
+coexist behind one calling convention.  An option that no registered
+experiment declares is rejected as a typo.
 """
 
 from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from ..errors import ExperimentError
 
@@ -50,7 +51,21 @@ class ExperimentSpec:
         return option in params
 
     def run(self, **options: Any) -> Any:
-        """Invoke the experiment with the subset of options it declares."""
+        """Invoke the experiment with the subset of options it declares.
+
+        The CLI and the campaign server pass one option set to every
+        experiment, so an option another registered experiment declares
+        is dropped here.  One that no registered experiment declares is a
+        typo, and raises instead of silently running the defaults.
+        """
+        known = _known_options()
+        typos = sorted(k for k in options if k not in known and not self.accepts(k))
+        if typos:
+            raise ExperimentError(
+                f"experiment {self.name!r}: no registered experiment takes "
+                f"option(s) {', '.join(typos)}; known options: "
+                f"{', '.join(sorted(known))}"
+            )
         kwargs = {k: v for k, v in options.items()
                   if v is not None and self.accepts(k)}
         return self.fn(**kwargs)
@@ -111,6 +126,19 @@ def list_experiments(kind: Optional[str] = None) -> List[ExperimentSpec]:
     _ensure_builtins()
     specs = [s for s in _REGISTRY.values() if kind is None or s.kind == kind]
     return sorted(specs, key=lambda s: (s.kind, s.name))
+
+
+def _known_options() -> Set[str]:
+    """Every keyword option some registered experiment declares by name."""
+    _ensure_builtins()
+    keyword = (inspect.Parameter.POSITIONAL_OR_KEYWORD,
+               inspect.Parameter.KEYWORD_ONLY)
+    return {
+        name
+        for spec in _REGISTRY.values()
+        for name, param in inspect.signature(spec.fn).parameters.items()
+        if param.kind in keyword
+    }
 
 
 def _ensure_builtins() -> None:

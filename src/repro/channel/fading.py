@@ -26,6 +26,10 @@ with either
   marginal and the exact lag-Δ correlation of each step; like all
   autoregressive Jakes approximations it is not exactly consistent across
   *unequal* multi-step paths, which is irrelevant at the MAC's query rates.
+
+J₀ is the one function here that needs scipy, so :func:`jakes_correlation`
+imports ``scipy.special`` on its first call: a process that simulates the
+default exponential kernel never loads scipy.
 """
 
 from __future__ import annotations
@@ -34,12 +38,11 @@ import math
 from typing import Dict, Tuple, Union
 
 import numpy as np
-from scipy.special import j0
 
 from ..errors import ChannelError
 from ..rng import NormalBlockCache, as_normal_cache
 
-__all__ = ["RayleighFading"]
+__all__ = ["RayleighFading", "jakes_correlation"]
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -48,6 +51,18 @@ _SQRT_HALF = math.sqrt(0.5)
 #: cache saturates at a few dozen entries in practice; the cap only
 #: guards against pathological query patterns).
 _RHO_CACHE_MAX = 4096
+
+
+def jakes_correlation(doppler_hz: float, dt: float) -> float:
+    """Clarke/Jakes autocorrelation ρ(Δ) = J₀(2π·f_d·Δ) at lag ``dt``.
+
+    The one definition both engines share (the vector engine's
+    :class:`repro.vector.state.ArStep` calls it too), so their ρ values
+    are bit-identical.  Callers memoize per lag.
+    """
+    from scipy.special import j0
+
+    return float(j0(2.0 * math.pi * doppler_hz * dt))
 
 
 class RayleighFading:
@@ -121,8 +136,7 @@ class RayleighFading:
             raise ChannelError("negative lag")
         if self.kernel == "exponential":
             return math.exp(-dt / self.coherence_s)
-        # Jakes / Clarke.
-        return float(j0(2.0 * math.pi * self._doppler_hz * dt))
+        return jakes_correlation(self._doppler_hz, dt)
 
     # -- sampling --------------------------------------------------------------
 

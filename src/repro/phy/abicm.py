@@ -30,6 +30,7 @@ and eats the resulting packet-error rate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -88,8 +89,6 @@ class AbicmMode:
         if p >= 0.5:
             return 1.0
         # log1p formulation is numerically stable for tiny p and large bits.
-        import math
-
         return -math.expm1(bits * math.log1p(-p))
 
     def airtime_s(self, bits: int) -> float:

@@ -11,30 +11,56 @@ derive mode switching thresholds and packet-error rates:
 
 γ_b is SNR **per bit**; conversions from per-symbol SNR are handled by the
 callers (`repro.phy.abicm`), which work at fixed symbol rate.
+
+Q comes from the standard library: :func:`qfunc` is ``0.5·math.erfc``
+and :func:`qfunc_inv` is ``statistics.NormalDist().inv_cdf``, so a
+simulating process never imports ``scipy.special``.  One rule keeps
+scipy's (Cephes) behaviour exactly: erfc(z) is exactly 0.0 once
+z² > ln(DBL_MAX) ≈ 709.78 (z > 26.6417…), where ``math.erfc`` would still
+return subnormals up to z ≈ 27.2.  The zero matters more than the value:
+:func:`repro.phy.frame.evaluate_burst` skips its Bernoulli draws when
+the packet-error rate is exactly 0.0, so the set of SNRs that give zero
+decides how far each run's random stream advances.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-from scipy.special import erfc, erfcinv
+from statistics import NormalDist
 
 from ..errors import PhyError
 
-__all__ = ["Modulation", "BPSK", "QPSK", "QAM16", "QAM64", "by_name", "qfunc", "qfunc_inv"]
+__all__ = [
+    "Modulation", "BPSK", "QPSK", "QAM16", "QAM64", "by_name",
+    "erfc", "qfunc", "qfunc_inv",
+]
+
+
+#: ln(DBL_MAX): past z² > this, erfc(z) is exactly 0.0 (2.0 for z < 0).
+_ERFC_UNDERFLOW_Z2 = math.log(sys.float_info.max)
+
+_STANDARD_NORMAL = NormalDist()
+
+
+def erfc(z: float) -> float:
+    """``math.erfc`` with scipy's exact underflow to 0.0 (module docstring)."""
+    if z * z > _ERFC_UNDERFLOW_Z2:
+        return 0.0 if z > 0.0 else 2.0
+    return math.erfc(z)
 
 
 def qfunc(x: float) -> float:
     """Gaussian tail function Q(x) = 0.5·erfc(x/√2)."""
-    return 0.5 * float(erfc(x / math.sqrt(2.0)))
+    return 0.5 * erfc(x / math.sqrt(2.0))
 
 
 def qfunc_inv(p: float) -> float:
     """Inverse of :func:`qfunc` for p in (0, 1)."""
     if not 0.0 < p < 1.0:
         raise PhyError(f"Q^-1 needs p in (0,1), got {p}")
-    return math.sqrt(2.0) * float(erfcinv(2.0 * p))
+    return -_STANDARD_NORMAL.inv_cdf(p)
 
 
 @dataclass(frozen=True)

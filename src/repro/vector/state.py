@@ -13,7 +13,8 @@ import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import j0
+
+from ..channel.fading import jakes_correlation
 
 __all__ = [
     "ArStep",
@@ -66,7 +67,7 @@ class ArStep:
         if self.fading_tau <= 0.0:
             rho_f = 0.0
         elif self.kernel == "jakes":
-            rho_f = float(j0(2.0 * math.pi * self._doppler_hz * dt))
+            rho_f = jakes_correlation(self._doppler_hz, dt)
         else:
             rho_f = math.exp(-dt / self.fading_tau)
         sig_f = math.sqrt(max(0.0, 1.0 - rho_f * rho_f)) * math.sqrt(0.5)

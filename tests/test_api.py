@@ -50,13 +50,32 @@ class TestRegistry:
         try:
             spec = get_experiment("_test-exp")
             assert spec.summary == "scratch"
-            # Declared options pass through; undeclared ones are dropped.
+            # Declared options pass through; ones that only other
+            # experiments declare are dropped.
             assert spec.run(preset="smoke", loads_pps=(5.0,),
                             seeds=(1, 2)) == "smoke"
         finally:
             from repro.api import registry
 
             del registry._REGISTRY["_test-exp"]
+
+    def test_option_no_experiment_declares_is_rejected(self):
+        # A typo ("seed" for "seeds") must not silently simulate the
+        # default seed.
+        with pytest.raises(ExperimentError, match=r"option\(s\) seed;"):
+            get_experiment("fig11").run(preset="smoke", seed=(3,))
+
+        @experiment("_test-kw", kind="extension")
+        def _kw(**options):
+            return options
+
+        try:
+            # An experiment taking **kwargs accepts every name.
+            assert get_experiment("_test-kw").run(seed=3) == {"seed": 3}
+        finally:
+            from repro.api import registry
+
+            del registry._REGISTRY["_test-kw"]
 
     def test_conflicting_registration_rejected(self):
         @experiment("_test-dup")

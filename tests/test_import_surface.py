@@ -1,10 +1,15 @@
-"""Import cost follows the work: no kernel or scipy where nothing simulates.
+"""Import cost follows the work: no kernel where nothing simulates, and
+no scipy where nothing needs it.
 
 A process that never simulates — CLI parsing, ``--cache`` hits, ``--from``
 re-renders, ``list``, ``query``, ``gc`` — must not import the event
 kernel (``repro.network``, ``repro.sim``, ``repro.mac``, ``repro.channel``,
-``repro.phy``) or scipy.  Every check runs in a fresh interpreter, since
-this test process has long since imported everything.
+``repro.phy``) or scipy.  A process that does simulate imports the
+kernel but still no scipy: the PHY's Q function comes from the standard
+library.  Only Jakes fading (J₀), vector rounds with ≥64 heads
+(``cKDTree``) and t-intervals over more than one seed load scipy, each
+on first use.  Every check runs in a fresh interpreter, since this test
+process has long since imported everything.
 """
 
 import json
@@ -60,11 +65,19 @@ def _modules_after(code: str):
     return json.loads(_python("-c", code).stdout.splitlines()[-1])
 
 
-def _kernel_modules(modules):
+def _under(modules, prefixes):
     return [
         m for m in modules
-        if any(m == p or m.startswith(p + ".") for p in KERNEL)
+        if any(m == p or m.startswith(p + ".") for p in prefixes)
     ]
+
+
+def _kernel_modules(modules):
+    return _under(modules, KERNEL)
+
+
+def _scipy_modules(modules):
+    return _under(modules, ("scipy",))
 
 
 def _recorded_cli(tmp_path, *argv):
@@ -76,16 +89,42 @@ def _recorded_cli(tmp_path, *argv):
 
 @pytest.fixture(scope="module")
 def cold(tmp_path_factory):
-    """A fig11 smoke database filled by a cold ``--cache`` pass, and its stdout."""
+    """A fig11 smoke database filled by a cold ``--cache`` pass: the
+    database, the pass's stdout and the modules it had loaded by exit."""
     workdir = tmp_path_factory.mktemp("cold")
     db = workdir / "fig11.sqlite"
-    proc = _python("-m", "repro", *FIG11, "--cache", str(db), cwd=workdir)
+    proc, modules = _recorded_cli(workdir, *FIG11, "--cache", str(db))
     assert ", 18 simulated," in proc.stderr
-    return db, proc.stdout
+    return db, proc.stdout, modules
 
 
 def test_import_cli_loads_no_kernel_or_scipy():
     assert _kernel_modules(_modules_after("import repro.cli")) == []
+
+
+def test_cold_simulating_pass_loads_no_scipy(cold):
+    _, _, modules = cold
+    assert "repro.network" in modules
+    assert _scipy_modules(modules) == []
+
+
+@pytest.mark.parametrize("engine", ["repro.network", "repro.vector.engine"])
+def test_importing_an_engine_loads_no_scipy(engine):
+    assert _scipy_modules(_modules_after(f"import {engine}")) == []
+
+
+def test_jakes_fading_loads_scipy_special_on_first_use():
+    modules = _modules_after("\n".join([
+        "import sys",
+        "from repro.api import Scenario",
+        "s = Scenario.from_preset('smoke').with_runtime(",
+        "    horizon_s=2.0, sample_interval_s=1.0)",
+        "s = s.with_sub('channel', fading_kernel='jakes')",
+        "assert s.config.scale.backend == 'event'",
+        "assert 'scipy' not in sys.modules",
+        "s.run()",
+    ]))
+    assert "scipy.special" in modules
 
 
 def test_digesting_an_auto_config_loads_no_engine():
@@ -107,7 +146,7 @@ def test_summarize_loads_scipy_only_for_an_interval():
 
 
 def test_warm_cache_pass_loads_no_kernel_and_matches_cold(cold, tmp_path):
-    db, cold_stdout = cold
+    db, cold_stdout, _ = cold
     proc, modules = _recorded_cli(tmp_path, *FIG11, "--cache", str(db))
     assert ", 0 simulated," in proc.stderr
     assert proc.stdout == cold_stdout
@@ -116,7 +155,7 @@ def test_warm_cache_pass_loads_no_kernel_and_matches_cold(cold, tmp_path):
 
 
 def test_from_rerender_loads_no_kernel_and_matches_cold(cold, tmp_path):
-    db, cold_stdout = cold
+    db, cold_stdout, _ = cold
     proc, modules = _recorded_cli(tmp_path, *FIG11, "--from", str(db))
     assert proc.stdout == cold_stdout
     assert _kernel_modules(modules) == []
@@ -134,7 +173,7 @@ def test_from_rerender_loads_no_kernel_and_matches_cold(cold, tmp_path):
     ids=["list", "query", "query-agg", "gc"],
 )
 def test_store_commands_load_no_kernel(cold, tmp_path, argv):
-    db, _ = cold
+    db, _, _ = cold
     argv = [a.format(db=db) for a in argv]
     _, modules = _recorded_cli(tmp_path, *argv)
     assert _kernel_modules(modules) == []

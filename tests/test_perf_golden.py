@@ -58,9 +58,7 @@ class TestGoldenArtefacts:
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_render_is_byte_identical_to_pre_optimization(self, name):
         spec = get_experiment(name)
-        fig = spec.run(
-            preset="smoke", seeds=(1,), loads_pps=(5.0, 15.0), jobs=1
-        )
+        fig = spec.run(preset="smoke", seeds=(1,), loads_pps=(5.0, 15.0))
         digest = hashlib.sha256(fig.render().encode("utf-8")).hexdigest()
         assert digest == GOLDEN[name], (
             f"{name} output changed — the hot-path optimizations must be "

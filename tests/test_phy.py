@@ -1,9 +1,12 @@
 """PHY: modulation BER curves, coding model, ABICM table, frames."""
 
+import math
+import sys
 
 import numpy as np
 import pytest
 
+from repro.channel.fading import RayleighFading
 from repro.config import PhyConfig
 from repro.errors import PhyError
 from repro.phy import (
@@ -21,8 +24,10 @@ from repro.phy import (
     qfunc_inv,
     solve_threshold_db,
 )
+from repro.phy import modulation
 from repro.rng import RngRegistry
 from repro.traffic import Packet
+from repro.vector.state import ArStep
 
 
 class TestQFunction:
@@ -40,6 +45,90 @@ class TestQFunction:
             qfunc_inv(0.0)
         with pytest.raises(PhyError):
             qfunc_inv(1.0)
+
+
+class TestStandardLibraryNumerics:
+    """The PHY's erfc / Q⁻¹ / J₀ against scipy, the test-only reference.
+
+    Simulation imports no scipy for Q; these pin that the standard-library
+    replacements keep every value that decides an RNG draw or a mode.
+    """
+
+    @staticmethod
+    def _scipy_erfc(z):
+        from scipy.special import erfc
+
+        return float(erfc(z))
+
+    def test_erfc_underflows_to_zero_exactly_where_scipy_does(self):
+        z = math.sqrt(709.782712893384)
+        for _ in range(50):
+            z = math.nextafter(z, 0.0)
+        for _ in range(101):
+            ours, ref = modulation.erfc(z), self._scipy_erfc(z)
+            assert (ours == 0.0) == (ref == 0.0), z
+            assert modulation.erfc(-z) == self._scipy_erfc(-z) == 2.0
+            z = math.nextafter(z, math.inf)
+
+    def test_erfc_matches_scipy_where_scipy_is_normal(self):
+        worst = 0.0
+        for z in np.linspace(0.0, 26.64, 200_001):
+            ref = self._scipy_erfc(float(z))
+            if ref < sys.float_info.min:
+                continue
+            worst = max(worst, abs(modulation.erfc(float(z)) - ref) / ref)
+        assert worst <= 1e-12
+
+    def test_per_is_zero_at_exactly_the_scipy_snrs(self, monkeypatch):
+        # The zero set decides whether evaluate_burst draws at all.
+        cfg = PhyConfig()
+        modes = AbicmTable.from_config(cfg).modes
+        bits = cfg.packet_length_bits
+        snrs = [k / 1000.0 for k in range(-20_000, 80_001)]
+
+        def zeros():
+            return [
+                [s for s in snrs if mode.packet_error_rate(s, bits) == 0.0]
+                for mode in modes
+            ]
+
+        ours = zeros()
+        monkeypatch.setattr(modulation, "erfc", self._scipy_erfc)
+        assert ours == zeros()
+        assert all(ours)  # every mode reaches PER 0 inside the window
+
+    def test_qfunc_inv_matches_scipy(self):
+        from scipy.special import erfcinv
+
+        for p in [*np.logspace(-300, -0.302, 3001), 0.4, 0.49, 0.499999]:
+            ref = math.sqrt(2.0) * float(erfcinv(2.0 * p))
+            assert qfunc_inv(float(p)) == pytest.approx(ref, rel=1e-13, abs=0)
+
+    def test_default_thresholds_match_scipy(self, monkeypatch):
+        from scipy.special import erfcinv
+
+        ours = [m.threshold_db for m in AbicmTable.from_config(PhyConfig())]
+        monkeypatch.setattr(
+            modulation,
+            "qfunc_inv",
+            lambda p: math.sqrt(2.0) * float(erfcinv(2.0 * p)),
+        )
+        ref = [m.threshold_db for m in AbicmTable.from_config(PhyConfig())]
+        assert ours == pytest.approx(ref, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("coherence_s", [0.02, 0.1, 0.7])
+    def test_jakes_rho_is_scipy_j0_bit_for_bit(self, coherence_s):
+        from scipy.special import j0
+
+        fading = RayleighFading(
+            coherence_s, np.random.default_rng(1), kernel="jakes"
+        )
+        ar = ArStep(0.0, 0.0, coherence_s, "jakes")
+        f_d = 0.423 / coherence_s
+        for dt in [*np.linspace(0.0, 3.0, 601), 1e-6, 0.0015, 12.5]:
+            ref = float(j0(2.0 * math.pi * f_d * float(dt)))
+            assert fading.correlation(float(dt)) == ref
+            assert ar.coeffs(float(dt))[2] == ref
 
 
 class TestModulation:
