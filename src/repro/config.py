@@ -615,7 +615,9 @@ class NetworkConfig:
 
     def __post_init__(self) -> None:
         _require(self.n_nodes >= 2, "need at least 2 nodes (1 CH + 1 sensor)")
-        _require(self.field_size_m > 0, "field size must be > 0")
+        _require(
+            0 < self.field_size_m < math.inf, "field size must be finite and > 0"
+        )
         _require(isinstance(self.protocol, Protocol), "protocol must be a Protocol")
         _require(self.seed >= 0, "seed must be >= 0")
         _require(0 < self.dead_fraction <= 1, "dead fraction must be in (0, 1]")

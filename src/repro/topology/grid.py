@@ -1,9 +1,11 @@
 """Uniform-cell spatial grid with brute-force-identical nearest queries.
 
 The index buckets candidate points into square cells of roughly one
-candidate each and answers nearest-neighbour queries by expanding ring
-search.  Two properties make it a drop-in replacement for the brute-force
-scan in :meth:`repro.cluster.topology.Topology.nearest`:
+candidate each and answers a whole batch of nearest-neighbour queries by
+expanding ring search in numpy.  Two properties make it a drop-in
+replacement for the brute-force distance row (``np.argmin`` over
+``sqrt((diff**2).sum())``, as :meth:`repro.cluster.topology.Topology.nearest`
+and the vector engine's membership assignment define it):
 
 * **identical arithmetic** — candidate distances are evaluated as
   ``sqrt(dx*dx + dy*dy)`` in double precision, the exact float sequence
@@ -11,20 +13,22 @@ scan in :meth:`repro.cluster.topology.Topology.nearest`:
   (possibly rounded) values;
 * **identical tie order** — among equal distances the candidate earliest
   in the *candidate sequence* wins, matching ``np.argmin``'s
-  first-occurrence rule.  Bucket lists keep candidate order, and ring
-  expansion only stops once a strictly closer ring is impossible
-  (``ring_min > best``), so an equal-distance candidate in a farther ring
-  is still found and resolved by order.
+  first-occurrence rule.  A query keeps the candidate with the lowest
+  ``(distance, index)`` pair it has seen, and ring expansion only stops
+  once a strictly closer ring is impossible (``ring_min > best``), so an
+  equal-distance candidate in a farther ring is still found and resolved
+  by order.
 
-Queries may lie outside the indexed field (the sink in a sink-distance
-sweep): cell coordinates are unclamped and the ring lower bound
-``(r - 1) * cell`` holds for any query position.
+Queries may lie outside the indexed field: a query's cell coordinates
+are unclamped (only table lookups are, onto empty margin cells), so the
+ring lower bound ``(r - 1) * cell`` holds for any query position; a
+query's cost grows with its ring distance from the candidates.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,130 +47,150 @@ class GridIndex:
         (the order ties resolve to — for cluster formation, the elected
         head sequence).
     field_size_m:
-        Extent used to pick the cell size; points may lie anywhere.
-    cell_size_m:
-        Explicit cell size override (defaults to ``field / sqrt(k)``,
-        about one candidate per cell for uniform deployments).
+        Extent used to pick the cell size, ``field / sqrt(k)`` (about one
+        candidate per cell for uniform deployments).  Points may lie
+        anywhere; if they spread wider than the field, their spread sets
+        the cell size instead, which bounds the table at ~k cells.
     """
 
-    __slots__ = (
-        "n",
-        "_xs",
-        "_ys",
-        "_cell",
-        "_buckets",
-        "_bx_min",
-        "_bx_max",
-        "_by_min",
-        "_by_max",
-    )
+    __slots__ = ("n", "_xs", "_ys", "_cell", "_x0", "_y0", "_nx", "_ny",
+                 "_order", "_count", "_start")
 
-    def __init__(
-        self,
-        points: np.ndarray,
-        field_size_m: float,
-        cell_size_m: Optional[float] = None,
-    ) -> None:
+    def __init__(self, points: np.ndarray, field_size_m: float) -> None:
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != 2:
             raise ClusterError("grid index needs an (k, 2) point array")
         k = points.shape[0]
         if k < 1:
             raise ClusterError("grid index needs at least one point")
-        if field_size_m <= 0:
+        if not field_size_m > 0:
             raise ClusterError("field size must be > 0")
+        if not np.isfinite(points).all():
+            raise ClusterError("grid points must be finite")
         self.n = k
-        self._xs: List[float] = points[:, 0].tolist()
-        self._ys: List[float] = points[:, 1].tolist()
-        if cell_size_m is None:
-            cell_size_m = field_size_m / max(1.0, math.sqrt(k))
-        if cell_size_m <= 0:
-            raise ClusterError("cell size must be > 0")
-        self._cell = float(cell_size_m)
-        buckets: Dict[Tuple[int, int], List[int]] = {}
-        cell = self._cell
-        for order in range(k):
-            key = (int(self._xs[order] // cell), int(self._ys[order] // cell))
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = [order]
-            else:
-                bucket.append(order)
-        self._buckets = buckets
-        bxs = [key[0] for key in buckets]
-        bys = [key[1] for key in buckets]
-        self._bx_min, self._bx_max = min(bxs), max(bxs)
-        self._by_min, self._by_max = min(bys), max(bys)
+        xs = self._xs = np.ascontiguousarray(points[:, 0])
+        ys = self._ys = np.ascontiguousarray(points[:, 1])
+        extent = max(field_size_m, float(np.ptp(xs)), float(np.ptp(ys)))
+        cell = self._cell = extent / max(1.0, math.sqrt(k))
+        gx = np.floor_divide(xs, cell).astype(np.int64)
+        gy = np.floor_divide(ys, cell).astype(np.int64)
+        # The table spans the occupied cells plus one empty cell of margin
+        # on every side, so a clamped lookup off the table reads empty.
+        self._x0 = int(gx.min()) - 1
+        self._y0 = int(gy.min()) - 1
+        gx -= self._x0
+        gy -= self._y0
+        self._nx = int(gx.max()) + 2
+        self._ny = int(gy.max()) + 2
+        # CSR buckets: candidates sorted by cell (stably, so candidate
+        # order holds within a cell), then each cell's count and start.
+        key = gx * self._ny + gy
+        self._order = np.argsort(key, kind="stable")
+        self._count = np.bincount(key, minlength=self._nx * self._ny)
+        self._start = np.cumsum(self._count) - self._count
+
+    def nearest_many(self, queries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Nearest candidate for every row of ``queries``.
+
+        Returns ``(index, distance)``: the candidate-order index of each
+        query's nearest point and its distance, equal bit for bit to
+        ``argmin`` over the candidate distance row and the row's value
+        there — the strictly nearest candidate, ties broken by candidate
+        order.
+        """
+        q = np.asarray(queries, dtype=float)
+        if not np.isfinite(q).all():
+            raise ClusterError("queries must be finite")
+        qx = np.ascontiguousarray(q[:, 0])
+        qy = np.ascontiguousarray(q[:, 1])
+        cell, nx, ny = self._cell, self._nx, self._ny
+        xs, ys = self._xs, self._ys
+        order, count, start = self._order, self._count, self._start
+        cx = np.floor_divide(qx, cell).astype(np.int64) - self._x0
+        cy = np.floor_divide(qy, cell).astype(np.int64) - self._y0
+        # All occupied cells lie within this Chebyshev radius of the query.
+        max_ring = np.maximum(
+            np.maximum(cx - 1, nx - 2 - cx), np.maximum(cy - 1, ny - 2 - cy)
+        )
+        best_d = np.full(q.shape[0], math.inf)
+        best_i = np.full(q.shape[0], self.n, dtype=np.int64)
+        active = np.arange(q.shape[0])
+        r = 0
+        while active.size:
+            # Clamped row and column keys per ring offset, shared by the
+            # ring's cells that sit on the same row or column.
+            kxs = {}
+            kys = {}
+            acx = cx[active]
+            acy = cy[active]
+            for ox, oy in _ring_offsets(r):
+                kx = kxs.get(ox)
+                if kx is None:
+                    kx = kxs[ox] = np.minimum(np.maximum(acx + ox, 0), nx - 1) * ny
+                ky = kys.get(oy)
+                if ky is None:
+                    ky = kys[oy] = np.minimum(np.maximum(acy + oy, 0), ny - 1)
+                key = kx + ky
+                cnt = count[key]
+                sel = np.flatnonzero(cnt)
+                if not sel.size:
+                    continue
+                cnt = cnt[sel]
+                slot = start[key[sel]]
+                qs = active[sel]
+                # Slot j holds each cell's j-th candidate: one candidate per
+                # query per pass, so every update is elementwise.
+                while True:
+                    cand = order[slot]
+                    dx = xs[cand] - qx[qs]
+                    dy = ys[cand] - qy[qs]
+                    d = np.sqrt(dx * dx + dy * dy)
+                    bd = best_d[qs]
+                    take = (d < bd) | ((d == bd) & (cand < best_i[qs]))
+                    won = qs[take]
+                    best_d[won] = d[take]
+                    best_i[won] = cand[take]
+                    more = np.flatnonzero(cnt > 1)
+                    if not more.size:
+                        break
+                    qs = qs[more]
+                    slot = slot[more] + 1
+                    cnt = cnt[more] - 1
+            # Ring r+1 is at least r*cell away; < keeps expanding while an
+            # exact-distance tie (with a lower candidate order) is possible.
+            done = (best_d[active] < r * cell) | (max_ring[active] <= r)
+            active = active[~done]
+            r += 1
+        return best_i, best_d
 
     def nearest(self, x: float, y: float) -> int:
         """Candidate-order index of the point nearest ``(x, y)``.
 
-        Equivalent to ``argmin`` over the candidate distance row: the
-        strictly nearest candidate, ties broken by candidate order.
+        The one-query form of :meth:`nearest_many`.
         """
-        cell = self._cell
-        cx = int(x // cell)
-        cy = int(y // cell)
-        buckets = self._buckets
-        xs = self._xs
-        ys = self._ys
-        best_d = math.inf
-        best_order = -1
-        # All occupied cells lie within this Chebyshev radius of the query.
-        max_ring = max(
-            cx - self._bx_min,
-            self._bx_max - cx,
-            cy - self._by_min,
-            self._by_max - cy,
-            0,
-        )
-        r = 0
-        while True:
-            if r == 0:
-                ring: Sequence[Tuple[int, int]] = ((cx, cy),)
-            else:
-                ring = self._ring_cells(cx, cy, r)
-            for key in ring:
-                bucket = buckets.get(key)
-                if bucket is None:
-                    continue
-                for order in bucket:
-                    dx = xs[order] - x
-                    dy = ys[order] - y
-                    d = math.sqrt(dx * dx + dy * dy)
-                    if d < best_d or (d == best_d and order < best_order):
-                        best_d = d
-                        best_order = order
-            # Ring r+1 is at least r*cell away; <= keeps expanding while an
-            # exact-distance tie (with a lower candidate order) is possible.
-            if best_order >= 0 and r * cell > best_d:
-                break
-            r += 1
-            if r > max_ring:
-                break
-        return best_order
+        return int(self.nearest_many(np.array([[x, y]]))[0][0])
 
-    @staticmethod
-    def _ring_cells(cx: int, cy: int, r: int) -> List[Tuple[int, int]]:
-        """Cells at Chebyshev distance exactly ``r`` from ``(cx, cy)``."""
-        cells: List[Tuple[int, int]] = []
-        top, bottom = cy + r, cy - r
-        for gx in range(cx - r, cx + r + 1):
-            cells.append((gx, top))
-            cells.append((gx, bottom))
-        for gy in range(cy - r + 1, cy + r):
-            cells.append((cx - r, gy))
-            cells.append((cx + r, gy))
-        return cells
+
+def _ring_offsets(r: int) -> Sequence[Tuple[int, int]]:
+    """Cell offsets at Chebyshev distance exactly ``r``."""
+    if r == 0:
+        return ((0, 0),)
+    span = range(-r, r + 1)
+    side = range(-r + 1, r)
+    return (
+        [(ox, oy) for ox in span for oy in (-r, r)]
+        + [(ox, oy) for ox in (-r, r) for oy in side]
+    )
 
 
 class GridNearest:
     """Per-round ``nearest(node, candidates)`` adapter over :class:`GridIndex`.
 
     The LEACH election resolves every sensor's nearest head through one
-    callable; this adapter builds a :class:`GridIndex` over the head set
-    the first time a round queries it and serves all further queries
-    from the index.  Head sets smaller than ``min_candidates`` fall back
+    callable; the first time a round queries it, this adapter builds a
+    :class:`GridIndex` over the head set and answers every node's query
+    with one :meth:`GridIndex.nearest_many` call, then serves the round
+    from that array.  Head sets smaller than ``min_candidates`` fall back
     to the brute-force scan, where the index cannot win.
 
     **Caller contract.**  Within one round every query must pass the
@@ -178,28 +202,28 @@ class GridNearest:
     future caller recycles a list object.
     """
 
-    __slots__ = ("topology", "min_candidates", "_cand", "_index")
+    __slots__ = ("topology", "min_candidates", "_cand", "_index", "_picks")
 
     def __init__(self, topology, min_candidates: int = 8) -> None:
         self.topology = topology
         self.min_candidates = min_candidates
         self._cand: Optional[Sequence[int]] = None
         self._index: Optional[GridIndex] = None
+        self._picks: Sequence[int] = ()
 
     def invalidate(self) -> None:
         """Drop the cached index (call at every round boundary)."""
         self._cand = None
         self._index = None
+        self._picks = ()
 
     def __call__(self, node: int, candidates: Sequence[int]) -> int:
         if len(candidates) < self.min_candidates:
             return self.topology.nearest(node, candidates)
         if candidates is not self._cand:
             self._cand = candidates
-            self._index = GridIndex(
-                self.topology.positions[np.asarray(candidates, dtype=int)],
-                self.topology.field_size_m,
-            )
-        pos = self.topology.positions
-        order = self._index.nearest(float(pos[node, 0]), float(pos[node, 1]))
-        return int(candidates[order])
+            cand = np.asarray(candidates, dtype=np.int64)
+            pos = self.topology.positions
+            self._index = GridIndex(pos[cand], self.topology.field_size_m)
+            self._picks = cand[self._index.nearest_many(pos)[0]].tolist()
+        return self._picks[node]

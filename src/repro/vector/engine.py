@@ -22,6 +22,12 @@ named streams with identical consumption order*:
   (gap, then downtime, then next gap; gap, then offset, ...), so applied
   failure/recovery/shift counts and times match exactly.
 
+Cluster membership is exact as well: every member attaches to its
+nearest head through one :meth:`repro.topology.GridIndex.nearest_many`
+call per round, the batched grid search the event kernel's election
+also uses, equal bit for bit to the brute distance row (ties go to the
+earliest-elected head) at any head count, with no scipy.
+
 Everything per-packet — traffic arrivals, MAC contention, per-burst PER,
 energy metering — runs on dedicated ``vector/*`` streams and a
 time-stepped fluid abstraction of the CAEM MAC, so those fields are
@@ -67,6 +73,7 @@ from ..metrics.lifetime import death_spread_s, first_death_s, network_lifetime_s
 from ..phy import AbicmTable
 from ..rng import RngRegistry, pcg64_states
 from ..routing import plan_routes
+from ..topology import GridIndex
 from .profile import attach as _attach_profiler
 from .state import ArStep, BatchReservoir, PerTables, SeriesRecorder
 from .support import vector_refusal
@@ -86,54 +93,6 @@ _MAC_JOIN_P = 0.75
 #: Barrier bookkeeping epsilon for merging pre-played dynamics events
 #: into the step agenda (barrier times themselves compare exactly).
 _EPS = 1e-12
-
-#: Head-set size at which membership assignment switches from the brute
-#: chunked distance matrix to the KD-tree path (below it the matrix is
-#: already small, and the paper-scale populations the equivalence
-#: harness golden-checks stay on the original code verbatim).
-_KD_MIN_HEADS = 64
-
-
-def _nearest_heads_kd(
-    mem_pos: np.ndarray, head_pos: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Nearest-head assignment, bit-identical to the brute distance row.
-
-    Same contract as the chunked matrix in ``_start_round``: for each
-    member, the head minimising ``sqrt(dx**2 + dy**2)`` (the exact float
-    sequence of :meth:`repro.cluster.topology.Topology.nearest`), ties
-    broken by earliest position in the head array.  The KD tree only
-    *proposes* the ``k`` nearest candidates; picks and distances are
-    re-derived with the reference arithmetic, and any row whose k-th
-    candidate ties the minimum — the one case where an equally near
-    head could hide beyond the candidate set — falls back to the full
-    brute row.  (cKDTree's own p=2 metric accumulates ``dx*dx + dy*dy``
-    in the same double-precision order, so its squared-distance ranking
-    is exact; ``sqrt`` is monotone, so a head outside the candidate set
-    can only tie the minimum if the k-th candidate does too.)
-    """
-    from scipy.spatial import cKDTree
-
-    h = head_pos.shape[0]
-    k = min(4, h)
-    _, ii = cKDTree(head_pos).query(mem_pos, k=k)
-    if ii.ndim == 1:
-        ii = ii[:, None]
-    diff = head_pos[ii] - mem_pos[:, None, :]
-    drow = np.sqrt((diff**2).sum(axis=2))
-    dmin = drow.min(axis=1)
-    # Earliest head order among the our-metric ties within the k.
-    pick = np.where(drow == dmin[:, None], ii, h).min(axis=1)
-    if k < h:
-        unsure = drow[:, -1] <= dmin
-        if unsure.any():
-            rows = np.flatnonzero(unsure)
-            diff_f = head_pos[None, :, :] - mem_pos[rows, None, :]
-            row_f = np.sqrt((diff_f**2).sum(axis=2))
-            full = np.argmin(row_f, axis=1)
-            pick[rows] = full
-            dmin[rows] = row_f[np.arange(rows.size), full]
-    return pick.astype(np.int64), dmin
 
 
 def _check_supported(cfg: NetworkConfig) -> None:
@@ -684,35 +643,16 @@ class VectorNetwork:
                     self.delivered_bits += q * self.bits
                     if self.bits_by_src is not None:
                         np.add.at(self.bits_by_src, srcs, self.bits)
-        # Membership: bit-exact nearest-head (Topology.nearest arithmetic).
+        # Membership: each member's nearest head, bit-exact to the brute
+        # distance row (Topology.nearest's arithmetic and tie order).
         member_mask = np.zeros(self.n, dtype=bool)
         member_mask[alive_ids] = True
         member_mask[self.heads] = False
         mem = np.flatnonzero(member_mask)
         m = mem.size
         self.m_ids = mem
-        head_pos = self.positions[self.heads]
-        if m and h >= _KD_MIN_HEADS:
-            # Large head sets: the brute m x h distance matrix is the
-            # dominant phase of the whole run at N = 1e5 (~80% of wall
-            # time, see repro.vector.profile), so route through the
-            # KD-tree assignment — same picks and distances bit-for-bit.
-            self.m_cl, d = _nearest_heads_kd(self.positions[mem], head_pos)
-        else:
-            self.m_cl = np.empty(m, dtype=np.int64)
-            d = np.empty(m)
-            chunk = 4096
-            for lo in range(0, m, chunk):
-                hi = min(lo + chunk, m)
-                # positions[cand] - positions[node], squared, summed,
-                # sqrt — the exact FP sequence of Topology.nearest, so
-                # argmin ties break identically (first occurrence =
-                # earliest elected head).
-                diff = head_pos[None, :, :] - self.positions[mem[lo:hi], None, :]
-                row = np.sqrt((diff**2).sum(axis=2))
-                pick = np.argmin(row, axis=1)
-                self.m_cl[lo:hi] = pick
-                d[lo:hi] = row[np.arange(hi - lo), pick]
+        index = GridIndex(self.positions[self.heads], self.topology.field_size_m)
+        self.m_cl, d = index.nearest_many(self.positions[mem])
         self.m_mean = self.budget.mean_snr_db(d) + self._regime_offset
         z = self._chan_rng.standard_normal((3, m))
         sigma = self.cfg.channel.shadowing_sigma_db

@@ -37,7 +37,7 @@ from typing import Dict, List, Optional
 __all__ = ["PHASES", "RoundProfiler"]
 
 #: Canonical phase order for reports.  ``membership`` is the whole
-#: round-boundary setup (election, routing plan, nearest-head matrix);
+#: round-boundary setup (election, routing plan, nearest-head grid query);
 #: the rest are the per-step phases in execution order.
 PHASES = (
     "membership",

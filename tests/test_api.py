@@ -18,7 +18,7 @@ from repro.api import (
 )
 from repro.api.registry import experiment
 from repro.config import Protocol
-from repro.errors import ExperimentError
+from repro.errors import ConfigError, ExperimentError
 
 
 def _smoke(protocol=Protocol.PURE_LEACH, **runtime):
@@ -210,6 +210,11 @@ class TestCampaign:
     def test_empty_axis_rejected(self):
         with pytest.raises(ExperimentError):
             Campaign(_smoke()).over(load_pps=[])
+
+    def test_infinite_field_axis_rejected(self):
+        # An infinite field would only fail inside the engine, mid-run.
+        with pytest.raises(ConfigError, match="field size"):
+            Campaign(_smoke()).over(field_size_m=[float("inf")])
 
     def test_select_and_store(self, tmp_path):
         store = ResultStore(tmp_path / "c.jsonl")

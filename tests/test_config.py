@@ -124,6 +124,11 @@ class TestValidation:
         with pytest.raises(ConfigError):
             NetworkConfig(n_nodes=1)
 
+    @pytest.mark.parametrize("size", [0.0, -1.0, float("inf"), float("nan")])
+    def test_field_size_must_be_finite_and_positive(self, size):
+        with pytest.raises(ConfigError, match="field size"):
+            NetworkConfig(field_size_m=size)
+
     def test_dead_fraction_bounds(self):
         with pytest.raises(ConfigError):
             NetworkConfig(dead_fraction=0.0)

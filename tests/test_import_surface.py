@@ -6,9 +6,9 @@ re-renders, ``list``, ``query``, ``gc`` — must not import the event
 kernel (``repro.network``, ``repro.sim``, ``repro.mac``, ``repro.channel``,
 ``repro.phy``) or scipy.  A process that does simulate imports the
 kernel but still no scipy: the PHY's Q function comes from the standard
-library.  Only Jakes fading (J₀), vector rounds with ≥64 heads
-(``cKDTree``) and t-intervals over more than one seed load scipy, each
-on first use.  Every check runs in a fresh interpreter, since this test
+library and both engines find nearest heads with one numpy grid.  Only
+Jakes fading (J₀) and t-intervals over more than one seed load scipy,
+each on first use.  Every check runs in a fresh interpreter, since this test
 process has long since imported everything.
 """
 
@@ -125,6 +125,28 @@ def test_jakes_fading_loads_scipy_special_on_first_use():
         "s.run()",
     ]))
     assert "scipy.special" in modules
+
+
+def test_vector_run_with_many_heads_loads_no_scipy():
+    # N=2000 at seed 1 elects over 100 heads a round, a head count the
+    # nearest-head search must serve without scipy.
+    modules = _modules_after("\n".join([
+        "from repro.api import RunOptions, simulate",
+        "from repro.cluster.leach import LeachElection",
+        "from repro.config import Protocol",
+        "from repro.experiments.scale import scale_config",
+        "elect, heads = LeachElection.elect, []",
+        "def counted(self, *args):",
+        "    out = elect(self, *args)",
+        "    heads.append(len(out))",
+        "    return out",
+        "LeachElection.elect = counted",
+        "simulate(scale_config(2000, Protocol.CAEM_ADAPTIVE, 1, backend='vector'),",
+        "         RunOptions(horizon_s=2.0, sample_interval_s=1.0))",
+        "assert heads and min(heads) >= 64, heads",
+    ]))
+    assert "repro.vector.engine" in modules
+    assert _scipy_modules(modules) == []
 
 
 def test_digesting_an_auto_config_loads_no_engine():

@@ -162,6 +162,16 @@ class TestEndpoints:
             assert "executor field" in json.loads(excinfo.value.read())["error"]
         assert _get_json(server, "/campaigns")["jobs"] == []
 
+    def test_infinite_field_is_a_400(self, server):
+        # json.loads reads Infinity: the spec must fail at submit, not as
+        # a job whose cells die in the engine.
+        spec = {**GRID_SPEC, "axes": {"field_size_m": [float("inf")]}}
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post_json(server, "/campaigns", spec)
+        assert excinfo.value.code == 400
+        assert "field size" in json.loads(excinfo.value.read())["error"]
+        assert _get_json(server, "/campaigns")["jobs"] == []
+
 
 class TestJobManager:
     def test_removed_execution_keys_name_executor(self, tmp_path):

@@ -1,18 +1,24 @@
 """Spatial-index equivalence: the grid must answer exactly like brute force.
 
-The scale tier's grid index is only admissible because every nearest
-query returns the *same node* the brute-force scan returns — including
+The grid index is the nearest-head search of both engines, and it is
+only admissible because every query returns the *same node* the
+brute-force distance row returns, at the same distance bits — including
 exact-distance ties, which must resolve to the candidate earliest in the
 candidate sequence (``np.argmin`` first-occurrence semantics).  These
-property tests drive randomized topologies, duplicated positions, grid
-placements (systematic ties) and out-of-field query points at both
+property tests drive randomized topologies, duplicated, collinear and
+coincident positions, grid placements (systematic ties), candidates
+outside the queries' box and out-of-field query points at both
 implementations and require equality everywhere; they also pin the
 lazy (matrix-free) Topology distance path to the matrix bit-for-bit,
 and the vectorised multihop route planner to the original nested scan.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.topology import Topology
 from repro.config import NetworkConfig
@@ -64,13 +70,15 @@ class TestGridNearestEquivalence:
                 assert adapter(node, cands) == topo.nearest(node, cands)
 
     def test_query_point_outside_field(self):
-        # Sink-style queries may lie far outside the indexed field.
+        # Queries may lie far outside the indexed field.
         rng = np.random.default_rng(11)
         pts = rng.uniform(0.0, 100.0, size=(50, 2))
         index = GridIndex(pts, 100.0)
-        for q in [(-80.0, -80.0), (250.0, 40.0), (50.0, -1.0), (99.9, 99.9)]:
+        queries = [(-80.0, -80.0), (250.0, 40.0), (50.0, -1.0), (99.9, 99.9)]
+        picks, _ = index.nearest_many(np.asarray(queries))
+        for q, pick in zip(queries, picks):
             d = np.sqrt(((pts - np.asarray(q)) ** 2).sum(axis=1))
-            assert index.nearest(*q) == int(np.argmin(d))
+            assert pick == int(np.argmin(d))
 
     def test_single_candidate(self):
         topo = _random_topology(np.random.default_rng(2), n=20)
@@ -102,6 +110,126 @@ class TestGridNearestEquivalence:
             GridIndex(np.zeros((3, 3)), 10.0)
         with pytest.raises(ClusterError):
             GridIndex(np.zeros((3, 2)), 0.0)
+        with pytest.raises(ClusterError):
+            GridIndex(np.array([[1.0, np.nan]]), 10.0)
+        with pytest.raises(ClusterError):
+            GridIndex(np.zeros((3, 2)), 10.0).nearest_many(
+                np.array([[np.inf, 0.0]])
+            )
+
+
+def _brute(mem_pos, head_pos):
+    """The reference: argmin over each query's full distance row."""
+    diff = head_pos[None, :, :] - mem_pos[:, None, :]
+    row = np.sqrt((diff ** 2).sum(axis=2))
+    pick = np.argmin(row, axis=1)
+    return pick.astype(np.int64), row[np.arange(mem_pos.shape[0]), pick]
+
+
+def _assert_matches_brute(mem_pos, head_pos, field=100.0):
+    picks, dist = GridIndex(head_pos, field).nearest_many(mem_pos)
+    ref_picks, ref_dist = _brute(mem_pos, head_pos)
+    assert (picks == ref_picks).all()
+    # Bit-equal distances: the grid evaluates the brute row's arithmetic.
+    assert (dist.view(np.int64) == ref_dist.view(np.int64)).all()
+
+
+def _points(coords, min_size=1, max_size=40):
+    return st.lists(
+        st.tuples(coords, coords), min_size=min_size, max_size=max_size
+    ).map(lambda pts: np.array(pts, dtype=float).reshape(-1, 2))
+
+
+_FIELD = st.floats(0.0, 100.0, allow_nan=False, exclude_max=True)
+_FAR = st.floats(-1000.0, 1000.0, allow_nan=False)
+_FIXED = settings(derandomize=True, deadline=None, max_examples=150)
+
+
+class TestNearestMany:
+    """``GridIndex.nearest_many`` equals the brute row bit for bit."""
+
+    def test_uniform_placement_matches_brute(self):
+        rng = np.random.default_rng(11)
+        head_pos = rng.uniform(0.0, 500.0, size=(300, 2))
+        mem_pos = rng.uniform(0.0, 500.0, size=(4000, 2))
+        _assert_matches_brute(mem_pos, head_pos, field=500.0)
+
+    def test_lattice_ties_match_brute(self):
+        # Grid placements produce exact float ties (a member at a cell
+        # centre is equidistant to four heads; distance 0 when it sits
+        # on one) — the search must keep first-occurrence tie order.
+        rng = np.random.default_rng(5)
+        gx, gy = np.meshgrid(
+            np.arange(15, dtype=float), np.arange(15, dtype=float)
+        )
+        head_pos = np.column_stack([gx.ravel(), gy.ravel()])
+        rng.shuffle(head_pos)
+        mem_pos = np.concatenate([
+            head_pos[:60] + 0.5,   # 4-way ties at cell centres
+            head_pos[:30],         # distance-0 ties
+            rng.uniform(0.0, 14.0, size=(200, 2)),
+        ])
+        _assert_matches_brute(mem_pos, head_pos, field=15.0)
+
+    def test_rounded_tie_in_the_next_ring(self):
+        # Cell 1.0 (field sqrt(2), two heads).  Head 1 sits in ring 1 at
+        # exactly 1.0; head 0 sits in ring 2, 1 + 2**-53 away, which
+        # rounds to 1.0 too.  Only a search that keeps expanding while
+        # best == ring bound finds the lower-order tie.
+        q = 1.0 - 2.0 ** -53
+        head_pos = np.array([[2.0, 0.0], [q, 1.0]])
+        index = GridIndex(head_pos, math.sqrt(2.0))
+        picks, dist = index.nearest_many(np.array([[q, 0.0]]))
+        assert picks.tolist() == [0] and dist.tolist() == [1.0]
+        _assert_matches_brute(np.array([[q, 0.0]]), head_pos, math.sqrt(2.0))
+
+    @_FIXED
+    @given(
+        xs=st.lists(_FIELD, min_size=1, max_size=4),
+        ys=st.lists(_FIELD, min_size=1, max_size=4),
+        heads=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                       min_size=1, max_size=40),
+        members=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                         max_size=40),
+    )
+    def test_duplicate_collinear_and_coincident_points(
+        self, xs, ys, heads, members
+    ):
+        # Every point takes its x from one short list and its y from
+        # another: heads repeat, share rows and columns, and members
+        # sit exactly on heads.
+        def place(picks):
+            return np.array(
+                [(xs[i % len(xs)], ys[j % len(ys)]) for i, j in picks],
+                dtype=float,
+            ).reshape(-1, 2)
+
+        _assert_matches_brute(place(members), place(heads))
+
+    @_FIXED
+    @given(head=_points(_FAR, max_size=1), members=_points(_FAR))
+    def test_single_head(self, head, members):
+        picks, _ = GridIndex(head, 100.0).nearest_many(members)
+        assert (picks == 0).all()
+        _assert_matches_brute(members, head)
+
+    @_FIXED
+    @given(
+        heads=_points(st.floats(100.0, 900.0, allow_nan=False)),
+        members=_points(_FIELD),
+        flip=st.booleans(),
+    )
+    def test_heads_outside_member_box(self, heads, members, flip):
+        # Heads beyond the members' box (and beyond the field), so every
+        # query starts in an empty region of the table.
+        if flip:
+            heads = -heads
+        _assert_matches_brute(members, heads)
+
+    @_FIXED
+    @given(heads=_points(_FIELD), queries=_points(_FAR))
+    def test_out_of_field_queries(self, heads, queries):
+        _assert_matches_brute(queries, heads)
 
 
 class TestLazyTopologyEquivalence:

@@ -142,79 +142,41 @@ class TestBackendSelection:
         assert all(row[3] is not None for row in figure.rows)  # delivery
 
 
-class TestKdMembership:
-    """The KD-tree nearest-head path must equal the brute row bit-for-bit."""
+class TestGridMembership:
+    """The engine's nearest-head grid answers exactly like the brute row."""
 
-    @staticmethod
-    def _brute(mem_pos, head_pos):
+    def test_engine_paths_agree_end_to_end(self, monkeypatch):
+        # Swap the engine's grid for the brute distance row through a
+        # full run: the RunResult is identical either way.
         import numpy as np
 
-        diff = head_pos[None, :, :] - mem_pos[:, None, :]
-        row = np.sqrt((diff ** 2).sum(axis=2))
-        pick = np.argmin(row, axis=1)
-        return pick.astype(np.int64), row[
-            np.arange(mem_pos.shape[0]), pick
-        ]
-
-    def test_uniform_placement_matches_brute(self):
-        import numpy as np
-
-        from repro.vector.engine import _nearest_heads_kd
-
-        rng = np.random.default_rng(11)
-        head_pos = rng.uniform(0.0, 500.0, size=(300, 2))
-        mem_pos = rng.uniform(0.0, 500.0, size=(4000, 2))
-        pk, dk = _nearest_heads_kd(mem_pos, head_pos)
-        pb, db = self._brute(mem_pos, head_pos)
-        assert (pk == pb).all()
-        assert (dk == db).all()
-
-    def test_lattice_ties_match_brute(self):
-        # Grid placements produce exact float ties (a member at a cell
-        # centre is equidistant to four heads; distance 0 when it sits
-        # on one) — the fallback must keep first-occurrence tie order.
-        import numpy as np
-
-        from repro.vector.engine import _nearest_heads_kd
-
-        rng = np.random.default_rng(5)
-        gx, gy = np.meshgrid(
-            np.arange(15, dtype=float), np.arange(15, dtype=float)
-        )
-        head_pos = np.column_stack([gx.ravel(), gy.ravel()])
-        rng.shuffle(head_pos)
-        mem_pos = np.concatenate([
-            head_pos[:60] + 0.5,   # 4-way ties at cell centres
-            head_pos[:30],         # distance-0 ties
-            rng.uniform(0.0, 14.0, size=(200, 2)),
-        ])
-        pk, dk = _nearest_heads_kd(mem_pos, head_pos)
-        pb, db = self._brute(mem_pos, head_pos)
-        assert (pk == pb).all()
-        assert (dk == db).all()
-
-    def test_engine_paths_agree_end_to_end(self):
-        # Force both membership paths through a full run: identical
-        # RunResult either way (the KD threshold only picks the faster
-        # of two bit-equal implementations).
         import repro.vector.engine as eng
         from repro.api import RunOptions, simulate
+
+        head_counts = []
+
+        class BruteIndex:
+            def __init__(self, points, field_size_m):
+                self.points = points
+                head_counts.append(len(points))
+
+            def nearest_many(self, queries):
+                diff = self.points[None, :, :] - queries[:, None, :]
+                row = np.sqrt((diff ** 2).sum(axis=2))
+                pick = np.argmin(row, axis=1)
+                return pick, row[np.arange(queries.shape[0]), pick]
 
         cfg = scenario_config("static", 400, seed=4).with_scale(
             backend="vector"
         )
         opts = RunOptions(horizon_s=10.0, sample_interval_s=5.0)
-        old = eng._KD_MIN_HEADS
-        try:
-            eng._KD_MIN_HEADS = 10 ** 9
-            brute = simulate(cfg, opts).to_dict()
-            eng._KD_MIN_HEADS = 1
-            kd = simulate(cfg, opts).to_dict()
-        finally:
-            eng._KD_MIN_HEADS = old
+        grid = simulate(cfg, opts).to_dict()
+        monkeypatch.setattr(eng, "GridIndex", BruteIndex)
+        brute = simulate(cfg, opts).to_dict()
+        assert head_counts and min(head_counts) > 1  # the brute row ran
+        grid.pop("wall_time_s")
         brute.pop("wall_time_s")
-        kd.pop("wall_time_s")
-        assert brute == kd
+        assert grid == brute
 
 
 class TestRoundProfiling:
