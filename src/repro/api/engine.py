@@ -8,11 +8,19 @@ distributed).  A run is fully specified by
 ``config.seed`` via the named-stream :class:`repro.rng.RngRegistry`, so
 the same pair produces a bit-identical :class:`RunResult` in any process,
 at any parallelism, in any execution order.
+
+Each backend's engine module (:data:`_ENGINE_MODULES`) exposes one
+``measure(cfg, opts, tracer)``.  It runs the scenario and returns what
+it measured: the :class:`RunResult` fields it observed, by name, and a
+:class:`~repro.api.result.RunTotals` of the sums the record does not
+store.  :func:`derive` then computes every other field, once for both
+engines.
 """
 
 from __future__ import annotations
 
 import importlib
+import math
 import time
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -21,12 +29,11 @@ import numpy as np
 
 from ..config import NetworkConfig
 from ..errors import ExperimentError
-from ..metrics import TimeSeriesCollector
 from ..metrics.collectors import validate_max_samples
 from ..metrics.lifetime import death_spread_s, first_death_s, network_lifetime_s
-from .result import RunResult
+from .result import RunResult, RunTotals
 
-__all__ = ["RunOptions", "import_engines", "simulate"]
+__all__ = ["RunOptions", "derive", "import_engines", "simulate"]
 
 #: The module each concrete backend's engine lives in.
 _ENGINE_MODULES = {"event": "repro.network", "vector": "repro.vector.engine"}
@@ -57,10 +64,12 @@ class RunOptions:
     profile_rounds: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.horizon_s <= 0:
-            raise ExperimentError("horizon must be > 0")
-        if self.sample_interval_s <= 0:
-            raise ExperimentError("sample interval must be > 0")
+        # Finite too: an infinite horizon never returns, and NaN fails
+        # every comparison, so it would pass "> 0" and run nothing.
+        if not 0 < self.horizon_s < math.inf:
+            raise ExperimentError("horizon must be finite and > 0")
+        if not 0 < self.sample_interval_s < math.inf:
+            raise ExperimentError("sample interval must be finite and > 0")
         validate_max_samples(self.max_series_samples)
 
 
@@ -85,9 +94,8 @@ def simulate(
 ) -> RunResult:
     """Simulate one scenario and return its :class:`RunResult`.
 
-    Build a :class:`~repro.network.SensorNetwork`, attach samplers,
-    advance (optionally stopping at network death), and distil the
-    measurement record.
+    Run the engine the config resolves to, then :func:`derive` every
+    field the engine did not measure itself.
     """
     opts = options or RunOptions()
     if cfg.scale.backend == "auto":
@@ -97,20 +105,11 @@ def simulate(
         from ..vector.support import resolve_backend
 
         cfg = cfg.with_scale(backend=resolve_backend(cfg))
-    if cfg.scale.backend == "vector":
-        # Population-scale structure-of-arrays engine; same (config,
-        # options) -> RunResult contract, selected per run by config so
-        # campaigns can mix backends freely.  Imported lazily to keep
-        # the default path free of the numpy-heavy vector module.
-        from ..vector import simulate_vector
-
-        return simulate_vector(cfg, opts, tracer=tracer)
     # Before the clock starts: wall_time_s times the simulation, not the
-    # first call's import of the kernel.
-    from ..network import SensorNetwork
-
+    # first call's import of the engine.
+    engine = importlib.import_module(_ENGINE_MODULES[cfg.scale.backend])
     wall_start = time.perf_counter()
-    net = SensorNetwork(cfg, tracer=tracer)
+    fields, totals = engine.measure(cfg, opts, tracer)
     result = RunResult(
         protocol=cfg.protocol.value,
         seed=cfg.seed,
@@ -118,138 +117,57 @@ def simulate(
         horizon_s=opts.horizon_s,
         n_nodes=cfg.n_nodes,
         config_digest=cfg.digest(),
+        **fields,
     )
+    derive(result, totals, cfg.dead_fraction)
+    result.wall_time_s = time.perf_counter() - wall_start
+    return result
 
-    def sample_energy() -> float:
-        return net.mean_remaining_j()
 
-    def sample_alive() -> int:
-        return net.alive_count
+def derive(result: RunResult, totals: RunTotals, dead_fraction: float) -> None:
+    """Fill every derived field of ``result`` from what its engine measured.
 
-    cap = opts.max_series_samples
-    energy_series = TimeSeriesCollector(
-        net.sim, opts.sample_interval_s, sample_energy, "mean_energy",
-        max_samples=cap,
-    )
-    alive_series = TimeSeriesCollector(
-        net.sim, opts.sample_interval_s, sample_alive, "alive",
-        max_samples=cap,
-    )
-    queue_series = None
-    if opts.collect_queues:
-        queue_series = TimeSeriesCollector(
-            net.sim, opts.sample_interval_s, net.queue_lengths, "queues",
-            max_samples=cap,
-        )
-    up_series = None
-    if cfg.dynamics.enabled:
-        # Churn-aware companion to the alive series: alive counts track
-        # battery deaths (the paper's series), up counts subtract nodes
-        # transiently down at the sample instant.
-        up_series = TimeSeriesCollector(
-            net.sim, opts.sample_interval_s, lambda: net.up_count, "up",
-            max_samples=cap,
-        )
-
-    net.start()
-    energy_series.start()
-    alive_series.start()
-    if queue_series is not None:
-        queue_series.start()
-    if up_series is not None:
-        up_series.start()
-
-    # Advance in sampler-sized chunks so the death rule is checked often.
-    t = 0.0
-    while t < opts.horizon_s:
-        t = min(t + opts.sample_interval_s, opts.horizon_s)
-        net.run_until(t)
-        if opts.stop_when_dead and net.is_dead:
-            break
-
-    # Harvest.
-    result.sample_times_s = list(energy_series.times)
-    result.mean_energy_j = [float(v) for v in energy_series.values]
-    result.alive_counts = [int(v) for v in alive_series.values]
-    result.series_stride = energy_series.stride
-    if queue_series is not None:
-        result.queue_snapshots = [list(v) for v in queue_series.values]
-    if up_series is not None:
-        result.up_counts = [int(v) for v in up_series.values]
-
-    deaths = [n.death_time_s for n in net.nodes]
-    result.death_times_s = deaths
-    result.lifetime_s = network_lifetime_s(
-        deaths, cfg.n_nodes, cfg.dead_fraction
-    )
+    ``result`` carries the engine's measured fields (series, death
+    times, counters, the energy ledger); ``totals`` the sums the record
+    does not store.  This is the one place either engine's lifetimes,
+    energy per packet, delay statistics, throughput, delivery rates and
+    churn-aware variants are computed.  Each engine keeps its own
+    arithmetic for the sums themselves, so this only divides and
+    combines.
+    """
+    deaths = result.death_times_s
+    n = result.n_nodes
+    result.lifetime_s = network_lifetime_s(deaths, n, dead_fraction)
     result.first_death_s = first_death_s(deaths)
     result.death_spread_s = death_spread_s(deaths)
-
-    elapsed = net.sim.now
-    result.events_processed = net.sim.events_processed
-    result.generated = net.generated_packets()
-    result.delivered = net.stats.delivered
-    result.delivered_local = net.stats.delivered_local
-    result.lost_channel = net.stats.lost_channel
-    result.dropped_overflow = net.dropped_overflow()
-    result.dropped_retry = net.dropped_retry()
-    result.collisions = sum(n.mac.stats.collisions_heard for n in net.nodes)
-    result.total_consumed_j = net.total_consumed_j()
     if result.delivered > 0:
         # Radio deliveries only — see RunResult's "Delivery accounting".
         result.energy_per_packet_j = result.total_consumed_j / result.delivered
-    result.mean_delay_s = net.stats.mean_delay_s()
-    if net.stats.delays_s:
-        p50, p90, p99 = np.percentile(net.stats.delays_s, (50.0, 90.0, 99.0))
+    if totals.delay_count:
+        result.mean_delay_s = totals.delay_sum_s / totals.delay_count
+    if len(totals.delay_samples):
+        p50, p90, p99 = np.percentile(totals.delay_samples, (50.0, 90.0, 99.0))
         result.delay_p50_s = float(p50)
         result.delay_p90_s = float(p90)
         result.delay_p99_s = float(p99)
-    if elapsed > 0:
-        result.throughput_bps = net.stats.delivered_bits / elapsed
+    if totals.elapsed_s > 0:
+        result.throughput_bps = totals.delivered_bits / totals.elapsed_s
     if result.generated > 0:
         # Radio + local deliveries — see RunResult's "Delivery accounting".
-        result.delivery_rate = net.stats.total_delivered / result.generated
-    result.energy_breakdown = net.energy_breakdown()
-    # Uplink tier counters (identically zero while routing is disabled).
-    result.cluster_delivered = net.stats.cluster_delivered
-    result.uplink_lost_channel = net.stats.uplink_lost_channel
-    result.uplink_dropped_retry = net.stats.uplink_dropped_retry
-    result.uplink_dropped_overflow = net.stats.uplink_dropped_overflow
-    result.uplink_stranded = net.stats.uplink_stranded
-    result.mean_hop_count = net.stats.mean_hop_count()
-    result.uplink_energy_j = (
-        result.energy_breakdown.get("uplink_tx", 0.0)
-        + result.energy_breakdown.get("uplink_rx", 0.0)
-    )
-    # Dynamics.  Counters are identically zero while the block is off;
-    # the two churn-aware derived metrics below are always computed and
-    # equal their static counterparts on a churn-free run.
-    result.churn_failures = net.stats.churn_failures
-    result.churn_recoveries = net.stats.churn_recoveries
-    result.regime_shifts = net.stats.regime_shifts
-    result.orphaned = net.stats.orphaned
-    result.first_failure_s = net.stats.first_failure_s
-    result.lifetime_effective_s = result.lifetime_s
+        result.delivery_rate = result.total_delivered / result.generated
     offered = result.generated - result.orphaned
     if offered > 0:
-        result.delivery_rate_offered = net.stats.total_delivered / offered
-    if cfg.dynamics.enabled:
-        # A node down at the end (failed, never recovered) is dead for
-        # the churn-aware lifetime, from its last failure onward.
-        effective_deaths = [
-            n.death_time_s
-            if n.death_time_s is not None
-            else (n.last_failure_s if n.failed else None)
-            for n in net.nodes
-        ]
+        result.delivery_rate_offered = result.total_delivered / offered
+    if totals.hop_count:
+        result.mean_hop_count = totals.hop_sum / totals.hop_count
+    ledger = result.energy_breakdown
+    result.uplink_energy_j = ledger.get("uplink_tx", 0.0) + ledger.get(
+        "uplink_rx", 0.0
+    )
+    result.lifetime_effective_s = result.lifetime_s
+    if totals.effective_deaths is not None:
         result.lifetime_effective_s = network_lifetime_s(
-            effective_deaths, cfg.n_nodes, cfg.dead_fraction
+            totals.effective_deaths, n, dead_fraction
         )
-        bysrc = net.stats.delivered_bits_by_source
-        if bysrc and elapsed > 0:
-            survivor_bits = sum(
-                bits for nid, bits in bysrc.items() if net.nodes[nid].is_up
-            )
-            result.survivor_throughput_bps = survivor_bits / elapsed
-    result.wall_time_s = time.perf_counter() - wall_start
-    return result
+    if totals.survivor_bits is not None and totals.elapsed_s > 0:
+        result.survivor_throughput_bps = totals.survivor_bits / totals.elapsed_s

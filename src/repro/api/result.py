@@ -1,20 +1,23 @@
 """The canonical per-run measurement record: :class:`RunResult`.
 
-Every simulation — whether launched through :func:`repro.api.Scenario.run`,
-a :class:`repro.api.Campaign`, or the legacy
-:func:`repro.experiments.run_scenario` shim — distils into one
-:class:`RunResult`.  The record is a plain dataclass so it pickles across
-process-pool workers and round-trips through JSON for the
-:class:`repro.api.ResultStore`.
+Every simulation — whether launched through :func:`repro.api.Scenario.run`
+or a :class:`repro.api.Campaign` — distils into one :class:`RunResult`
+through :func:`repro.api.simulate`.  The record is a plain dataclass so
+it pickles across process-pool workers and round-trips through JSON for
+the :class:`repro.api.ResultStore`.
+
+Both engines fill it the same way: each returns the fields it measured
+(:data:`COUNTER_FIELDS` among them) and a :class:`RunTotals`, and
+:func:`repro.api.engine.derive` computes the rest.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence
 
-__all__ = ["RunResult", "SERIES_FIELDS"]
+__all__ = ["COUNTER_FIELDS", "RunResult", "RunTotals", "SERIES_FIELDS"]
 
 #: RunResult fields that hold time series / per-node vectors rather than
 #: scalars.  The CSV store drops these columns, and
@@ -28,6 +31,42 @@ SERIES_FIELDS = (
     "death_times_s",
     "energy_breakdown",
 )
+
+#: Counters both engines keep under these names and report as measured.
+#: The event kernel's :class:`~repro.network.NetworkStats` holds all but
+#: the first four, which the network sums over its nodes.
+COUNTER_FIELDS = (
+    "generated", "dropped_overflow", "dropped_retry", "collisions",
+    "delivered", "delivered_local", "lost_channel", "cluster_delivered",
+    "uplink_lost_channel", "uplink_dropped_retry", "uplink_dropped_overflow",
+    "uplink_stranded", "churn_failures", "churn_recoveries", "regime_shifts",
+    "orphaned", "first_failure_s",
+)
+
+
+class RunTotals(NamedTuple):
+    """What the derived fields need from an engine but the record omits."""
+
+    #: Simulated seconds covered: the horizon, or the instant
+    #: ``stop_when_dead`` ended the run.
+    elapsed_s: float
+    #: Payload bits delivered, radio and local.
+    delivered_bits: int
+    #: Sum and count of every radio delivery's delay, and the delays the
+    #: percentiles read: all of them, or a reservoir sample under
+    #: ``ScaleConfig.max_delay_samples``.
+    delay_sum_s: float
+    delay_count: int
+    delay_samples: Sequence[float]
+    #: Sum and count of the radio hops of every sink delivery.
+    hop_sum: float
+    hop_count: int
+    #: Churn-aware death times: a node down at the end (failed, never
+    #: recovered) is dead from its last failure.  None without dynamics.
+    effective_deaths: Optional[List[Optional[float]]]
+    #: Payload bits delivered from nodes still up at the end.  None
+    #: without dynamics, or when no delivery was credited to a source.
+    survivor_bits: Optional[int]
 
 
 @dataclass

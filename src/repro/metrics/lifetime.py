@@ -14,7 +14,29 @@ from typing import Optional, Sequence
 
 from ..errors import ExperimentError
 
-__all__ = ["network_lifetime_s", "first_death_s", "last_death_s", "death_spread_s"]
+__all__ = [
+    "dead_threshold",
+    "network_lifetime_s",
+    "first_death_s",
+    "last_death_s",
+    "death_spread_s",
+]
+
+
+def dead_threshold(n_nodes: int, dead_fraction: float) -> int:
+    """Exhausted nodes at which the network counts as dead.
+
+    The dead fraction must *exceed* ``dead_fraction``: floor(f·n) + 1
+    nodes.  With ``dead_fraction == 1`` the fraction can never exceed
+    it; dying out completely is what we mean, so all ``n_nodes``.
+    """
+    if n_nodes <= 0:
+        raise ExperimentError("n_nodes must be > 0")
+    if not 0.0 < dead_fraction <= 1.0:
+        raise ExperimentError("dead fraction must be in (0, 1]")
+    if dead_fraction >= 1.0:
+        return n_nodes
+    return math.floor(dead_fraction * n_nodes) + 1
 
 
 def _sorted_death_times(death_times: Sequence[Optional[float]]):
@@ -32,16 +54,8 @@ def network_lifetime_s(
     end of the run).  Returns None when the network never died (censored
     observation — the caller should extend the horizon).
     """
-    if n_nodes <= 0:
-        raise ExperimentError("n_nodes must be > 0")
-    if not 0.0 < dead_fraction <= 1.0:
-        raise ExperimentError("dead fraction must be in (0, 1]")
+    needed = dead_threshold(n_nodes, dead_fraction)
     deaths = _sorted_death_times(death_times)
-    needed = math.floor(dead_fraction * n_nodes) + 1
-    # With dead_fraction == 1 the fraction can never *exceed* it; dying
-    # out completely is what we mean, so require all nodes instead.
-    if dead_fraction >= 1.0:
-        needed = n_nodes
     if len(deaths) < needed:
         return None
     return deaths[needed - 1]

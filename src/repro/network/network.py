@@ -47,6 +47,7 @@ from ..dynamics import EventTimeline
 from ..energy import RadioEnergyModel
 from ..errors import SimulationError
 from ..mac import ClusterContext, ToneChannelSpec
+from ..metrics.lifetime import dead_threshold
 from ..phy import AbicmTable
 from ..rng import RngRegistry
 from ..routing import Sink, UplinkRelay, plan_routes
@@ -524,16 +525,11 @@ class SensorNetwork:
 
     @property
     def is_dead(self) -> bool:
-        """The paper's network-death rule: the dead fraction *exceeds* the
-        threshold (same convention as metrics.lifetime.network_lifetime_s,
-        so a run stopped at death always yields a measurable lifetime)."""
+        """The paper's network-death rule, :func:`~repro.metrics.dead_threshold`
+        (network_lifetime_s applies it too, so a run stopped at death always
+        yields a measurable lifetime)."""
         n = len(self.nodes)
-        dead = n - self.alive_count
-        if self.cfg.dead_fraction >= 1.0:
-            return dead >= n
-        import math
-
-        return dead >= math.floor(self.cfg.dead_fraction * n) + 1
+        return n - self.alive_count >= dead_threshold(n, self.cfg.dead_fraction)
 
     def settle_all(self) -> None:
         """Settle every meter now (exact battery levels for snapshots)."""

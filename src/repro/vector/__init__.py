@@ -33,18 +33,18 @@ Select it per run with ``cfg.with_scale(backend="vector")``; the default
 ``backend="auto"`` resolves per config — vector for populations of
 :data:`~repro.vector.support.AUTO_VECTOR_MIN_NODES` and up, event
 otherwise (see :func:`~repro.vector.support.resolve_backend`).
+:func:`repro.api.simulate` runs either engine: :mod:`.engine`'s
+``measure`` returns what the vector engine measured, and
+:func:`repro.api.engine.derive` computes every derived field, as it
+does for the event kernel.  This package imports only ``.support``, so
+resolving a backend (which digesting an ``"auto"`` config does) loads
+no engine.
 """
 
-from .._lazy import lazy_exports
 from .support import AUTO_VECTOR_MIN_NODES, resolve_backend, vector_refusal
 
 __all__ = [
     "AUTO_VECTOR_MIN_NODES",
     "resolve_backend",
-    "simulate_vector",
     "vector_refusal",
 ]
-
-#: The engine loads on first use: resolving a backend, which the config
-#: layer does to digest an ``"auto"`` config, needs only ``.support``.
-__getattr__ = lazy_exports(__name__, {"simulate_vector": ".engine"})

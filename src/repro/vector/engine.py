@@ -54,6 +54,13 @@ and Jakes-Doppler AR(1) fading bridges (:class:`repro.vector.state.ArStep`
 mirrors :class:`repro.channel.fading.RayleighFading`'s per-gap
 arithmetic) and Rician K>0 LOS/scatter mixing, all held to the
 equivalence contract by :mod:`repro.vector.equivalence`.
+
+:func:`measure` is the engine's whole interface to
+:func:`repro.api.simulate`: it runs a :class:`VectorNetwork` and reads
+the measured fields off its arrays; every derived ``RunResult`` field
+comes from :func:`repro.api.engine.derive`, the same as for the event
+kernel.  This module imports nothing from :mod:`repro.api` or
+:mod:`repro.network` at load time.
 """
 
 from __future__ import annotations
@@ -69,7 +76,7 @@ from ..cluster import LeachElection, Topology
 from ..config import NetworkConfig, Protocol
 from ..energy import RadioEnergyModel
 from ..errors import ConfigError
-from ..metrics.lifetime import death_spread_s, first_death_s, network_lifetime_s
+from ..metrics.lifetime import dead_threshold
 from ..phy import AbicmTable
 from ..rng import RngRegistry, pcg64_states
 from ..routing import plan_routes
@@ -78,7 +85,7 @@ from .profile import attach as _attach_profiler
 from .state import ArStep, BatchReservoir, PerTables, SeriesRecorder
 from .support import vector_refusal
 
-__all__ = ["simulate_vector", "VectorNetwork"]
+__all__ = ["measure", "VectorNetwork"]
 
 #: Contention sub-iterations resolved per cluster per step.  Each round
 #: of the loop lets every still-qualified member race again after the
@@ -409,12 +416,9 @@ class VectorNetwork:
 
     @property
     def is_dead(self) -> bool:
-        """The paper's dead-network rule (mirrors SensorNetwork.is_dead)."""
-        n = self.n
-        dead = n - int(self.alive.sum())
-        if self.cfg.dead_fraction >= 1.0:
-            return dead >= n
-        return dead >= math.floor(self.cfg.dead_fraction * n) + 1
+        """The paper's dead-network rule, :func:`~repro.metrics.dead_threshold`."""
+        dead = self.n - int(self.alive.sum())
+        return dead >= dead_threshold(self.n, self.cfg.dead_fraction)
 
     def _qualifies(self, nodes: np.ndarray, t: float) -> np.ndarray:
         """The MAC access rule at ``t``: which of ``nodes`` may contend.
@@ -1453,19 +1457,16 @@ class VectorNetwork:
         self._charges = []
 
 
-def simulate_vector(cfg: NetworkConfig, options=None, tracer=None):
-    """Run one scenario on the vector engine; returns a ``RunResult``.
+def measure(cfg: NetworkConfig, opts, tracer=None):
+    """Run ``cfg`` under ``opts``; returns ``(fields, totals)``.
 
-    Drop-in sibling of :func:`repro.api.engine.simulate` — the harvest
-    below mirrors that function field for field, so every derived metric
-    (lifetime rules, delivery-rate denominators, churn-aware variants)
-    follows the same arithmetic.
+    The vector twin of :func:`repro.network.measure`: ``fields`` maps
+    :class:`~repro.api.RunResult` field names to what this engine
+    measured, ``totals`` is a :class:`~repro.api.result.RunTotals`, and
+    :func:`repro.api.engine.derive` computes the rest.
     """
-    from ..api.engine import RunOptions
-    from ..api.result import RunResult
+    from ..api.result import COUNTER_FIELDS, RunTotals
 
-    opts = options or RunOptions()
-    wall_start = time.perf_counter()
     net = VectorNetwork(cfg, opts, tracer=tracer)
     elapsed = net.run()
     if net._prof is not None:
@@ -1477,74 +1478,25 @@ def simulate_vector(cfg: NetworkConfig, options=None, tracer=None):
             horizon_s=opts.horizon_s,
         )
 
-    result = RunResult(
-        protocol=cfg.protocol.value,
-        seed=cfg.seed,
-        load_pps=cfg.traffic.packets_per_second,
-        horizon_s=opts.horizon_s,
-        n_nodes=cfg.n_nodes,
-        config_digest=cfg.digest(),
-    )
     rec = net.recorder
-    result.sample_times_s = list(rec.times)
-    result.mean_energy_j = [float(v) for v in rec.series[net._tr_energy]]
-    result.alive_counts = [int(v) for v in rec.series[net._tr_alive]]
-    result.series_stride = rec.stride
-    if net._tr_queues is not None:
-        result.queue_snapshots = [list(v) for v in rec.series[net._tr_queues]]
-    if net._tr_up is not None:
-        result.up_counts = [int(v) for v in rec.series[net._tr_up]]
-
     deaths = [None if math.isnan(t) else float(t) for t in net.death_time]
-    result.death_times_s = deaths
-    result.lifetime_s = network_lifetime_s(deaths, cfg.n_nodes, cfg.dead_fraction)
-    result.first_death_s = first_death_s(deaths)
-    result.death_spread_s = death_spread_s(deaths)
+    fields = {
+        "sample_times_s": list(rec.times),
+        "mean_energy_j": [float(v) for v in rec.series[net._tr_energy]],
+        "alive_counts": [int(v) for v in rec.series[net._tr_alive]],
+        "series_stride": rec.stride,
+        "death_times_s": deaths,
+        "events_processed": net.steps,
+        "total_consumed_j": float(net.drawn.sum()),
+        "energy_breakdown": dict(net.breakdown),
+    }
+    if net._tr_queues is not None:
+        fields["queue_snapshots"] = [list(v) for v in rec.series[net._tr_queues]]
+    if net._tr_up is not None:
+        fields["up_counts"] = [int(v) for v in rec.series[net._tr_up]]
+    fields.update((name, getattr(net, name)) for name in COUNTER_FIELDS)
 
-    result.events_processed = net.steps
-    result.generated = net.generated
-    result.delivered = net.delivered
-    result.delivered_local = net.delivered_local
-    result.lost_channel = net.lost_channel
-    result.dropped_overflow = net.dropped_overflow
-    result.dropped_retry = net.dropped_retry
-    result.collisions = net.collisions
-    result.total_consumed_j = float(net.drawn.sum())
-    if result.delivered > 0:
-        result.energy_per_packet_j = result.total_consumed_j / result.delivered
-    delays = net.delays
-    result.mean_delay_s = delays.mean if delays.count else 0.0
-    samples = delays.samples()
-    if samples.size:
-        p50, p90, p99 = np.percentile(samples, (50.0, 90.0, 99.0))
-        result.delay_p50_s = float(p50)
-        result.delay_p90_s = float(p90)
-        result.delay_p99_s = float(p99)
-    if elapsed > 0:
-        result.throughput_bps = net.delivered_bits / elapsed
-    total_delivered = net.delivered + net.delivered_local
-    if result.generated > 0:
-        result.delivery_rate = total_delivered / result.generated
-    result.energy_breakdown = dict(net.breakdown)
-    result.cluster_delivered = net.cluster_delivered
-    result.uplink_lost_channel = net.uplink_lost_channel
-    result.uplink_dropped_retry = net.uplink_dropped_retry
-    result.uplink_dropped_overflow = net.uplink_dropped_overflow
-    result.uplink_stranded = net.uplink_stranded
-    result.mean_hop_count = net.hops.mean if net.hops.count else 0.0
-    result.uplink_energy_j = (
-        result.energy_breakdown.get("uplink_tx", 0.0)
-        + result.energy_breakdown.get("uplink_rx", 0.0)
-    )
-    result.churn_failures = net.churn_failures
-    result.churn_recoveries = net.churn_recoveries
-    result.regime_shifts = net.regime_shifts
-    result.orphaned = net.orphaned
-    result.first_failure_s = net.first_failure_s
-    result.lifetime_effective_s = result.lifetime_s
-    offered = result.generated - result.orphaned
-    if offered > 0:
-        result.delivery_rate_offered = total_delivered / offered
+    effective_deaths = survivor_bits = None
     if cfg.dynamics.enabled:
         effective_deaths = [
             deaths[i]
@@ -1556,11 +1508,16 @@ def simulate_vector(cfg: NetworkConfig, options=None, tracer=None):
             )
             for i in range(cfg.n_nodes)
         ]
-        result.lifetime_effective_s = network_lifetime_s(
-            effective_deaths, cfg.n_nodes, cfg.dead_fraction
-        )
-        if net.bits_by_src is not None and net.bits_by_src.any() and elapsed > 0:
+        if net.bits_by_src.any():
             survivor_bits = int(net.bits_by_src[net.up].sum())
-            result.survivor_throughput_bps = survivor_bits / elapsed
-    result.wall_time_s = time.perf_counter() - wall_start
-    return result
+    return fields, RunTotals(
+        elapsed_s=elapsed,
+        delivered_bits=net.delivered_bits,
+        delay_sum_s=net.delays.sum,
+        delay_count=net.delays.count,
+        delay_samples=net.delays.samples(),
+        hop_sum=net.hops.sum,
+        hop_count=net.hops.count,
+        effective_deaths=effective_deaths,
+        survivor_bits=survivor_bits,
+    )

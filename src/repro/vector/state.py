@@ -148,15 +148,14 @@ class SeriesRecorder:
 class BatchReservoir:
     """Reservoir sampler with batched updates (Algorithm R, chunked).
 
-    Holds exact first/second-moment accumulators regardless of the cap,
-    so means stay exact even when the sample set is bounded.  With
-    ``cap=None`` every value is kept.
+    Holds an exact sum and count regardless of the cap, so means stay
+    exact even when the sample set is bounded.  With ``cap=None`` every
+    value is kept.
     """
 
     def __init__(self, cap: Optional[int], rng: Optional[np.random.Generator]):
         self.cap = cap
         self.rng = rng
-        self.seen = 0
         self.sum = 0.0
         self.count = 0
         if cap is None:
@@ -170,35 +169,30 @@ class BatchReservoir:
         k = values.size
         if k == 0:
             return
+        seen = self.count
         self.sum += float(values.sum())
         self.count += k
         if self.cap is None:
             self._chunks.append(np.asarray(values, dtype=float).copy())
-            self.seen += k
             return
         cap = self.cap
-        fill = min(cap - self.seen, k) if self.seen < cap else 0
+        fill = min(cap - seen, k) if seen < cap else 0
         if fill > 0:
-            self._buf[self.seen : self.seen + fill] = values[:fill]
+            self._buf[seen : seen + fill] = values[:fill]
         rest = values[fill:]
         if rest.size:
             # j ~ Uniform{0..seen+i} for the i-th remaining value; keep
             # when j lands inside the reservoir — chunked Algorithm R.
-            base = self.seen + fill
+            base = seen + fill
             span = base + 1 + np.arange(rest.size)
             j = (self.rng.random(rest.size) * span).astype(np.int64)
             hit = j < cap
             if hit.any():
                 self._buf[j[hit]] = rest[hit]
-        self.seen += k
-
-    @property
-    def mean(self) -> Optional[float]:
-        return self.sum / self.count if self.count else None
 
     def samples(self) -> np.ndarray:
         if self.cap is None:
             if not self._chunks:
                 return np.empty(0)
             return np.concatenate(self._chunks)
-        return self._buf[: min(self.seen, self.cap)].copy()
+        return self._buf[: min(self.count, self.cap)].copy()

@@ -1,6 +1,7 @@
 """The repro.api layer: registry, Scenario, Campaign, ResultStore, engine."""
 
 import json
+import math
 
 import pytest
 
@@ -144,6 +145,26 @@ class TestScenario:
     def test_bad_runtime_rejected(self):
         with pytest.raises(ExperimentError):
             RunOptions(horizon_s=0.0)
+
+    @pytest.mark.parametrize(
+        "runtime",
+        [
+            {"horizon_s": math.inf},
+            {"horizon_s": math.nan},
+            {"horizon_s": -math.inf},
+            {"sample_interval_s": math.inf},
+            {"sample_interval_s": math.nan},
+        ],
+        ids=["horizon-inf", "horizon-nan", "horizon-neg-inf",
+             "interval-inf", "interval-nan"],
+    )
+    def test_non_finite_runtime_rejected(self, runtime):
+        # An infinite horizon never returns; NaN passes "> 0" checks
+        # written as negations and runs nothing.
+        with pytest.raises(ExperimentError, match="must be finite and > 0"):
+            RunOptions(**runtime)
+        with pytest.raises(ExperimentError, match="must be finite and > 0"):
+            _smoke().with_runtime(**runtime)
 
 
 class TestEngine:

@@ -113,6 +113,13 @@ def test_importing_an_engine_loads_no_scipy(engine):
     assert _scipy_modules(_modules_after(f"import {engine}")) == []
 
 
+def test_importing_the_vector_engine_loads_no_api_or_event_kernel():
+    # Each engine imports the record types it returns on first call, so
+    # constructing a VectorNetwork costs no repro.api or event kernel.
+    modules = _modules_after("import repro.vector.engine")
+    assert _under(modules, ("repro.api", "repro.network")) == []
+
+
 def test_jakes_fading_loads_scipy_special_on_first_use():
     modules = _modules_after("\n".join([
         "import sys",

@@ -163,13 +163,19 @@ class TestEndpoints:
         assert _get_json(server, "/campaigns")["jobs"] == []
 
     def test_infinite_field_is_a_400(self, server):
-        # json.loads reads Infinity: the spec must fail at submit, not as
-        # a job whose cells die in the engine.
-        spec = {**GRID_SPEC, "axes": {"field_size_m": [float("inf")]}}
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _post_json(server, "/campaigns", spec)
-        assert excinfo.value.code == 400
-        assert "field size" in json.loads(excinfo.value.read())["error"]
+        # json.loads reads Infinity and NaN: the spec must fail at submit,
+        # not as a job whose cells die in the engine, never return (an
+        # infinite horizon) or store an empty run (a NaN one).
+        cases = [
+            ({"axes": {"field_size_m": [float("inf")]}}, "field size"),
+            ({"horizon_s": float("inf")}, "horizon must be finite"),
+            ({"sample_interval_s": float("nan")}, "sample interval must be finite"),
+        ]
+        for change, message in cases:
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _post_json(server, "/campaigns", {**GRID_SPEC, **change})
+            assert excinfo.value.code == 400
+            assert message in json.loads(excinfo.value.read())["error"]
         assert _get_json(server, "/campaigns")["jobs"] == []
 
 

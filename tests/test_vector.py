@@ -336,7 +336,7 @@ _PINS = {
 def pinned_run(request):
     """(case, RunResult, the VectorNetwork that produced it), run once."""
     import repro.vector.engine as eng
-    from repro.api import RunOptions
+    from repro.api import RunOptions, simulate
 
     nets = []
 
@@ -348,7 +348,7 @@ def pinned_run(request):
     opts = RunOptions(horizon_s=25.0, sample_interval_s=5.0, max_series_samples=64)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(eng, "VectorNetwork", _Kept)
-        result = eng.simulate_vector(_pin_config(request.param), opts)
+        result = simulate(_pin_config(request.param), opts)
     (net,) = nets
     return request.param, result, net
 
