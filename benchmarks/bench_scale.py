@@ -14,22 +14,23 @@ a ladder of network sizes and records the scaling curve:
   kernel), ``vector`` (the structure-of-arrays population engine, see
   :mod:`repro.vector`), or ``both`` to render the two curves side by
   side;
-* one trajectory entry (tier ``"scale"``) is appended to
-  ``benchmarks/BENCH_run.json``, the same file the kernel bench feeds,
-  so the nightly cache carries the curve forward;
 * committed baselines close the loop: event rows compare against
   ``benchmarks/BENCH_scale.json`` (the pre-PR-5 brute-force kernel) and
   vector rows compare against ``benchmarks/BENCH_vector.json`` (the
   tuned **event kernel** at the same ladder, measured on the reference
   1-CPU container) — so ``--backend vector --require-speedup 10`` gates
   the vector engine at >= 10x over the event kernel at the largest
-  baselined size.
+  baselined size, and ``--nodes 100 --rounds 3 --require-speedup 0.64``
+  is the event kernel's regression gate (it fails once the N=100 run
+  takes more than 0.8037 s / 0.64 = 1.26 s).
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_scale.py                # quick ladder
     PYTHONPATH=src python benchmarks/bench_scale.py --nodes 100 300 1000 3000
     PYTHONPATH=src python benchmarks/bench_scale.py --require-speedup 1.5
+    PYTHONPATH=src python benchmarks/bench_scale.py --nodes 100 --rounds 3 \
+                                                    --require-speedup 0.64
     PYTHONPATH=src python benchmarks/bench_scale.py --backend vector \
                                                     --require-speedup 10
     PYTHONPATH=src python benchmarks/bench_scale.py --with-brute   # also time
@@ -51,7 +52,6 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_scale.json"
 VECTOR_BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_vector.json"
-TRAJECTORY_PATH = Path(__file__).resolve().parent / "BENCH_run.json"
 
 DEFAULT_NODES = (100, 300, 1000)
 HORIZON_S = 40.0  # two full 20 s LEACH rounds (matches BENCH_scale.json)
@@ -177,30 +177,6 @@ def _load_baseline(path: Path) -> dict:
     return {int(k): v for k, v in doc.get("baseline", {}).items()}
 
 
-def _append_scale_trajectory(results: list, brute_results: list) -> None:
-    from repro.api.bench import BenchReport, BenchResult, _append_trajectory
-
-    report = BenchReport(tier="scale")
-    for r in results:
-        prefix = "vector-run" if r["backend"] == "vector" else "quick-run"
-        report.results.append(
-            BenchResult(
-                name=f"scale/{prefix}-{r['nodes']}",
-                seconds=r["seconds"],
-                rounds=r["rounds"],
-            )
-        )
-    for r in brute_results:
-        report.results.append(
-            BenchResult(
-                name=f"scale/brute-no-pool-{r['nodes']}",
-                seconds=r["seconds"],
-                rounds=r["rounds"],
-            )
-        )
-    _append_trajectory(TRAJECTORY_PATH, report)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--nodes", type=int, nargs="+",
@@ -220,8 +196,6 @@ def main(argv=None) -> int:
                              "least X times faster than its baseline "
                              "(BENCH_scale.json for the event backend, "
                              "BENCH_vector.json for the vector backend)")
-    parser.add_argument("--no-trajectory", action="store_true",
-                        help="skip appending to BENCH_run.json")
     parser.add_argument("--profile-rounds", default=None, metavar="DIR",
                         help="write each vector run's per-round phase "
                              "timeline (JSON, see repro.vector.profile) "
@@ -252,7 +226,6 @@ def main(argv=None) -> int:
         "vector": _load_baseline(VECTOR_BASELINE_PATH),
     }
     results = []
-    brute_results = []
     print(f"scale benchmark: horizon {HORIZON_S:g} s, "
           f"best-of-{args.rounds}, serial (1-CPU container)")
     header = (f"{'backend':>7} {'nodes':>6} {'wall':>9} {'events':>9} "
@@ -275,15 +248,10 @@ def main(argv=None) -> int:
         if args.with_brute:
             b = _measure_subprocess(n, args.rounds, brute=True,
                                     backend="event")
-            brute_results.append(b)
             print(f"{'event':>7} {n:>6} {b['seconds']:>8.3f}s "
                   f"{_event_columns(b)} "
                   f"{b['peak_rss_kb'] / 1024:>7.1f} "
                   f"{'(brute/no-pool)':>18}")
-
-    if not args.no_trajectory:
-        _append_scale_trajectory(results, brute_results)
-        print(f"appended scale entry to {TRAJECTORY_PATH}")
 
     if args.require_speedup is not None:
         # With both backends the gate applies to the vector rows — that

@@ -1,6 +1,6 @@
 """``repro.api`` — the one way to define and execute experiments.
 
-The layer every entry point (CLI, benches, examples, notebooks) builds
+The layer every entry point (CLI, tests, examples, notebooks) builds
 on:
 
 * :class:`Scenario` — fluent builder for one fully specified run
@@ -31,7 +31,6 @@ Quickstart::
         print(scenario.describe(), run.delivery_rate)
 """
 
-from .bench import BenchReport, BenchResult, run_bench
 from .campaign import (
     Campaign,
     CampaignIncompleteError,
@@ -56,8 +55,6 @@ from .scenario import Scenario
 from .store import ResultStore
 
 __all__ = [
-    "BenchReport",
-    "BenchResult",
     "Campaign",
     "CampaignIncompleteError",
     "CampaignResult",
@@ -73,7 +70,6 @@ __all__ = [
     "experiment",
     "get_experiment",
     "list_experiments",
-    "run_bench",
     "run_scenarios",
     "simulate",
     "use_executor",

@@ -8,7 +8,7 @@ register themselves with the :func:`experiment` decorator::
         ...
 
 and the CLI (``repro-caem list`` / ``repro-caem run <name>``), the
-benches, and external scripts discover them through :func:`get_experiment`
+tests, and external scripts discover them through :func:`get_experiment`
 / :func:`list_experiments`.  The registry dispatches only the keyword
 arguments an experiment actually declares (``spec.run`` inspects the
 signature), so tables that take no preset and figures that take loads

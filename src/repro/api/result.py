@@ -92,7 +92,7 @@ class RunResult:
 
     In short: energy-per-packet is a **radio-cost** metric, delivery rate
     is an **end-to-end** metric.  Both choices are intentional and
-    consistent throughout the figures, benches, and stores.
+    consistent throughout the figures, tests, and stores.
 
     With the uplink tier enabled (``routing.mode`` of ``"direct"`` or
     ``"multihop"``) the same two rules hold with the sink moved to the end

@@ -7,7 +7,7 @@ single calibrated constant (``ChannelConfig.noise_floor_dbm``, default
 (≈20 m when 5 heads serve the 100 m × 100 m field) sees a mean SNR
 around 20 dB, putting the 4 ABICM modes
 all in play (DESIGN.md §2).  Helper :func:`calibrate_noise_floor` computes
-the floor for any target operating point, and the ablation benches sweep it.
+the floor for any target operating point.
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ table, or extension study shows up automatically::
     repro-caem run fig11 --from runs/fig11.jsonl       # re-render, no sim
     repro-caem run all   --preset quick
     repro-caem run fig8  --profile fig8.pstats         # find the hot spots
-    repro-caem bench --tier quick --fail-threshold 2.0 # perf regression gate
 
 The service tier (see :mod:`repro.service`) adds the result database,
 the content-addressed run cache, and the campaign server::
@@ -44,7 +43,6 @@ import sys
 from typing import List, Optional, Sequence
 
 from .api import get_experiment, list_experiments, use_executor, use_run_cache
-from .api import bench as bench_mod
 from .errors import ExperimentError, ReproError
 
 __all__ = ["main", "build_parser"]
@@ -172,40 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(ext-scale): names the dominant engine phases — membership "
         "assignment, CSMA mirrors, channel advance — round by round "
         "(stdout stays byte-identical; event-backend cells write nothing)",
-    )
-
-    bench_p = sub.add_parser(
-        "bench",
-        help="run the perf-regression benchmark suite (serial)",
-    )
-    bench_p.add_argument(
-        "--tier",
-        default="full",
-        choices=("quick", "full"),
-        help="quick = kernel + 100-node macro run (CI); full adds the "
-        "figure-scale bench",
-    )
-    bench_p.add_argument(
-        "--baseline",
-        default=str(bench_mod.DEFAULT_BASELINE),
-        metavar="PATH",
-        help="committed pytest-benchmark JSON to compare against",
-    )
-    bench_p.add_argument(
-        "--json",
-        dest="trajectory",
-        default=str(bench_mod.DEFAULT_TRAJECTORY),
-        metavar="PATH",
-        help="trajectory file to append this run's entry to "
-        "('-' disables persistence)",
-    )
-    bench_p.add_argument(
-        "--fail-threshold",
-        type=float,
-        default=None,
-        metavar="X",
-        help="exit 1 if any bench is slower than X times its baseline "
-        "(e.g. 2.0 for the CI gate)",
     )
 
     serve_p = sub.add_parser(
@@ -427,21 +391,6 @@ def _profiled(body, args: argparse.Namespace) -> int:
             f"(inspect with: python -m pstats {args.profile})\n"
         )
     return code
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    trajectory = None if args.trajectory == "-" else args.trajectory
-    report = bench_mod.run_bench(
-        tier=args.tier,
-        baseline_path=args.baseline,
-        trajectory_path=trajectory,
-        fail_threshold=args.fail_threshold,
-        progress=lambda line: sys.stderr.write(line + "\n"),
-    )
-    sys.stdout.write(report.render())
-    if trajectory is not None:
-        sys.stdout.write(f"appended trajectory entry to {trajectory}\n")
-    return 0 if report.ok else 1
 
 
 def _cmd_run_body(args: argparse.Namespace) -> int:
@@ -717,7 +666,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # Pre-registry compatibility: "repro-caem fig8 ..." == "run fig8 ...".
     if argv and argv[0] not in (
-        "run", "list", "bench", "serve", "worker", "query", "gc", "migrate",
+        "run", "list", "serve", "worker", "query", "gc", "migrate",
         "-h", "--help"
     ):
         argv.insert(0, "run")
@@ -725,8 +674,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.command == "list":
             return _cmd_list(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
         if args.command == "serve":
             return _cmd_serve(args)
         if args.command == "worker":

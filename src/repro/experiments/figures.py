@@ -3,9 +3,9 @@
 Each ``figN`` function re-runs the corresponding evaluation and returns a
 :class:`FigureResult` — the same rows/series the paper plots, as a table.
 Absolute numbers differ from the paper (their testbed constants are not
-recoverable); the *shape criteria* each figure must satisfy are spelled
-out in DESIGN.md §4 and enforced by the figure-shape test-suite on the
-quick preset.
+recoverable); the *shape criteria* each figure must satisfy are checked
+by ``tests/test_paper_claims.py`` on the quick preset (``pytest -m
+paper``).
 
 Every figure is now a plan/execute/assemble pipeline on :mod:`repro.api`:
 it expands its protocol × load × seed grid into :class:`Scenario` objects,
@@ -75,7 +75,7 @@ class FigureResult:
     runs: List[RunResult] = field(default_factory=list)
 
     def render(self) -> str:
-        """ASCII rendering (what the benches print)."""
+        """ASCII rendering (what the CLI and the paper-claim tests print)."""
         text = render_table(self.headers, self.rows,
                             title=f"{self.figure_id}: {self.title}")
         if self.notes:

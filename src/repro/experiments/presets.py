@@ -3,9 +3,10 @@
 ``full`` reproduces Table II exactly: 100 nodes, 10 J batteries, 20 s
 rounds — each lifetime run simulates hundreds to thousands of seconds.
 ``quick`` keeps every protocol mechanism identical but shrinks the world
-(30 nodes, 2 J, 10 s rounds) so the whole benchmark suite finishes in
-minutes; because all protocols shrink together, orderings and ratios are
-preserved (verified by the cross-preset consistency test).
+(30 nodes, 2 J, 10 s rounds) so the paper-claim tests finish in under a
+minute; because all protocols shrink together, the paper's orderings and
+ratios are expected to hold.  ``tests/test_paper_claims.py`` checks them
+at quick (``pytest -m paper``); no test checks them at full.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ def render_table(
     title: Optional[str] = None,
     precision: int = 4,
 ) -> str:
-    """Render a fixed-width ASCII table (the bench/CLI output format)."""
+    """Render a fixed-width ASCII table (the CLI output format)."""
     rows = [list(r) for r in rows]
     for r in rows:
         if len(r) != len(headers):

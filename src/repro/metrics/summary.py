@@ -1,7 +1,7 @@
 """Multi-seed aggregation: mean, standard deviation, confidence intervals.
 
 Simulation papers report point estimates; we additionally aggregate across
-replications (seeds) so EXPERIMENTS.md can state spread alongside means.
+replications (seeds) to state spread alongside means.
 """
 
 from __future__ import annotations

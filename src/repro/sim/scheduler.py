@@ -11,12 +11,13 @@ deletion), the standard approach for simulation heaps where cancelled
 timers are common (e.g. MAC backoff timers invalidated by a collision
 tone).
 
-This module is the innermost hot path of every simulation (see
-``benchmarks/bench_kernel.py``); :meth:`EventQueue.push` deliberately
-builds handles via ``__new__`` + attribute stores instead of calling the
-constructor, and the run loop in :mod:`repro.sim.simulator` reaches into
-``_heap`` directly.  Keep the ``(time, priority, seq)`` ordering contract
-and the lazy-cancellation invariants intact when touching either side.
+This module is the innermost hot path of every simulation (the N=100
+rung of ``benchmarks/bench_scale.py`` gates it); :meth:`EventQueue.push`
+deliberately builds handles via ``__new__`` + attribute stores instead
+of calling the constructor, and the run loop in :mod:`repro.sim.simulator`
+reaches into ``_heap`` directly.  Keep the ``(time, priority, seq)``
+ordering contract and the lazy-cancellation invariants intact when
+touching either side.
 """
 
 from __future__ import annotations

@@ -162,6 +162,22 @@ class TestCli:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_removed_bench_command_is_a_usage_error(self, capsys):
+        # "bench" is no command, so the pre-registry alias reads it as
+        # "run bench", and argparse rejects the experiment name.
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--tier", "quick", "--fail-threshold", "2.0"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+    def test_cli_run_accepts_profile(self):
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args(
+            ["run", "table1", "--profile", "out.pstats"]
+        )
+        assert args.profile == "out.pstats"
+
     def test_bad_experiment_rejected(self):
         with pytest.raises(SystemExit):
             self._run("fig99")

@@ -10,22 +10,23 @@ pins that contract three ways:
 * stream-equivalence tests: :class:`repro.rng.NormalBlockCache` serves
   the bit-exact per-draw sequence of scalar ``Generator.normal`` calls,
   including across block boundaries and through the channel processes;
-* perf-harness unit tests: baseline parsing and the regression gate of
-  ``repro-caem bench``.
+* perf-gate unit tests: the speedup and wall-time gates of
+  ``benchmarks/bench_scale.py``, whose N=100 event rung is the event
+  kernel's regression gate in CI.
 
 If an intentional modelling change legitimately alters an artefact,
 recompute the hashes here in the same PR and say so in its description.
 """
 
 import hashlib
-import json
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.api import get_experiment
-from repro.api.bench import BenchReport, BenchResult, load_baseline_times
 from repro.channel import Link, LinkBudget, RayleighFading
 from repro.channel.shadowing import GaussMarkovShadowing
 from repro.config import ChannelConfig
@@ -246,116 +247,57 @@ class TestKernelSatellites:
         assert [r.time for r in tracer.records] == [1.0, 1.0, 2.0]
 
 
-class TestBenchHarness:
-    def test_load_baseline_times_reads_pytest_benchmark_json(self, tmp_path):
-        doc = {
-            "benchmarks": [
-                {"name": "test_kernel_event_throughput", "stats": {"min": 0.01}},
-                {"name": "test_network_100_node_quick_run", "stats": {"min": 0.6}},
-                {"name": "unrelated", "stats": {"min": 1.0}},
-            ]
-        }
-        path = tmp_path / "base.json"
-        path.write_text(json.dumps(doc))
-        times = load_baseline_times(path)
-        assert times == {
-            "kernel/event-throughput": 0.01,
-            "network/quick-run-100": 0.6,
-        }
+BENCH_SCALE = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_scale.py"
 
-    def test_load_baseline_times_missing_file_is_empty(self, tmp_path):
-        assert load_baseline_times(tmp_path / "nope.json") == {}
+#: The gated rung exactly as the ``scale-smoke`` CI job runs it.
+GATE_ARGV = ["--nodes", "100", "--rounds", "3", "--require-speedup", "0.64"]
 
-    def test_load_baseline_times_corrupt_file_is_an_error(self, tmp_path):
-        from repro.errors import ReproError
 
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"benchmarks": [{"name": "x", "stats": {}}]}')
-        with pytest.raises(ReproError, match="not pytest-benchmark"):
-            load_baseline_times(bad)
+class TestScaleGate:
+    """``bench_scale.py``'s gates decide on fixed rows: the subprocess
+    that would time each size is stubbed, and N=100's baseline is the
+    committed 0.8037 s in ``BENCH_scale.json``."""
 
-    def test_gate_refuses_partial_baseline(self, tmp_path):
-        """A baseline matching only some gated benches must error: a
-        renamed test would otherwise silently leave the CI gate."""
-        from repro.api.bench import run_bench
-        from repro.errors import ReproError
+    @pytest.fixture
+    def gate(self, monkeypatch, capsys):
+        spec = importlib.util.spec_from_file_location("bench_scale", BENCH_SCALE)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
 
-        partial = tmp_path / "partial.json"
-        partial.write_text(
-            json.dumps(
-                {
-                    "benchmarks": [
-                        {
-                            "name": "test_kernel_event_throughput",
-                            "stats": {"min": 0.01},
-                        }
-                    ]
-                }
-            )
-        )
-        with pytest.raises(ReproError, match="push-pop-cancel-churn"):
-            run_bench(
-                tier="quick",
-                baseline_path=partial,
-                trajectory_path=None,
-                fail_threshold=2.0,
-            )
+        def run(argv, seconds):
+            def measure(n_nodes, rounds, brute, backend, profile_dir=None):
+                return {"nodes": n_nodes, "seconds": seconds, "rounds": rounds,
+                        "events": 43443, "backend": backend,
+                        "peak_rss_kb": 64 * 1024, "brute": brute}
 
-    def test_regression_gate(self):
-        report = BenchReport(
-            tier="quick",
-            results=[
-                BenchResult("a", seconds=0.5, rounds=1, baseline_s=1.0),
-                BenchResult("b", seconds=2.5, rounds=1, baseline_s=1.0),
-                BenchResult("c", seconds=9.9, rounds=1, baseline_s=None),
-            ],
-            fail_threshold=2.0,
-        )
-        assert not report.ok
-        assert [r.name for r in report.regressions] == ["b"]
-        rendered = report.render()
-        assert "FAIL" in rendered and "b" in rendered
+            monkeypatch.setattr(module, "_measure_subprocess", measure)
+            code = module.main(argv)
+            return code, capsys.readouterr().out
 
-    def test_gate_passes_within_threshold(self):
-        report = BenchReport(
-            tier="quick",
-            results=[BenchResult("a", 1.5, 1, baseline_s=1.0)],
-            fail_threshold=2.0,
-        )
-        assert report.ok and "OK" in report.render()
+        return run
 
-    def test_speedup_property(self):
-        assert BenchResult("a", 0.5, 1, baseline_s=1.0).speedup == 2.0
-        assert BenchResult("a", 0.5, 1).speedup is None
+    def test_gate_fails_below_required_speedup(self, gate):
+        # Twice the fastest of the runs R was calibrated on (0.668 s).
+        code, out = gate(GATE_ARGV, seconds=2 * 0.668)
+        assert code == 1
+        assert "speedup gate [event] at N=100: 0.60x" in out
+        assert "-> FAIL" in out
 
-    def test_gate_refuses_to_run_without_baseline(self, tmp_path):
-        """--fail-threshold with a missing/mismatched baseline must error,
-        not pass vacuously (the CI gate would otherwise be silently green)."""
-        from repro.api.bench import run_bench
-        from repro.errors import ReproError
+    def test_gate_fails_when_no_baselined_size_ran(self, gate):
+        # The gate must never pass vacuously: N=50 has no baseline.
+        argv = ["--nodes", "50", "--rounds", "3", "--require-speedup", "0.64"]
+        code, out = gate(argv, seconds=0.01)
+        assert code == 1
+        assert "no baselined size was run" in out
 
-        with pytest.raises(ReproError, match="no baseline entries"):
-            run_bench(
-                tier="quick",
-                baseline_path=tmp_path / "missing.json",
-                trajectory_path=None,
-                fail_threshold=2.0,
-            )
+    def test_gate_fails_over_max_seconds(self, gate):
+        code, out = gate(["--nodes", "100", "--max-seconds", "1.0"], seconds=1.5)
+        assert code == 1
+        assert "wall-time gate at N=100: 1.50s (budget 1s) -> FAIL" in out
 
-    def test_cli_parser_accepts_bench(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(
-            ["bench", "--tier", "quick", "--fail-threshold", "2.0"]
-        )
-        assert args.command == "bench"
-        assert args.tier == "quick"
-        assert args.fail_threshold == 2.0
-
-    def test_cli_run_accepts_profile(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(
-            ["run", "table1", "--profile", "out.pstats"]
-        )
-        assert args.profile == "out.pstats"
+    def test_gate_passes_within_required_speedup(self, gate):
+        # The slowest of the runs R was calibrated on: 0.8037 / 1.180 = 0.68x.
+        code, out = gate(GATE_ARGV + ["--max-seconds", "2.0"], seconds=1.180)
+        assert code == 0
+        assert "0.68x (required 0.64x) -> OK" in out
+        assert "wall-time gate at N=100: 1.18s (budget 2s) -> OK" in out
