@@ -137,10 +137,8 @@ def _executor_instance(resolved) -> Tuple[CampaignExecutor, bool]:
 def run_scenarios(
     scenarios: Sequence[Scenario],
     store=None,
-    progress: Optional[Callable[[int, int, Scenario], None]] = None,
     experiment: Optional[str] = None,
     cache=None,
-    manifest=None,
     on_cell_event: Optional[Callable[[Dict[str, Any]], None]] = None,
     executor=None,
 ) -> List[RunResult]:
@@ -167,13 +165,12 @@ def run_scenarios(
     :data:`NO_CACHE` forces plain execution, anything else is used as
     the cache for this call.
 
-    ``manifest`` (a :class:`repro.service.manifest.CampaignManifest`)
-    records the per-cell ledger; ``on_cell_event`` receives
-    progress/retry/quarantine event dicts.  A fault-tolerant backend
-    that quarantines cells raises :class:`CampaignIncompleteError`
-    (unless its policy says ``allow_partial``); completed cells are
-    already persisted by then, so a resumed re-run only simulates the
-    quarantined remainder.
+    ``on_cell_event`` receives cell/retry/quarantine event dicts.  A
+    fault-tolerant backend that quarantines cells raises
+    :class:`CampaignIncompleteError` (unless its policy says
+    ``allow_partial``); completed cells are already persisted by then,
+    so a re-run with the same cache only simulates the quarantined
+    remainder.
     """
     scenarios = list(scenarios)
     if cache is None:
@@ -181,17 +178,12 @@ def run_scenarios(
     resolved = resolve_executor(executor)
     if cache is not None and cache is not NO_CACHE:
         return cache.execute(
-            scenarios, store=store, progress=progress,
-            experiment=experiment, manifest=manifest,
+            scenarios, store=store, experiment=experiment,
             on_cell_event=on_cell_event, executor=resolved,
         )
     instance, owned = _executor_instance(resolved)
     hooks = ExecutionHooks(
-        store=store,
-        progress=progress,
-        experiment=experiment,
-        manifest=manifest,
-        on_cell_event=on_cell_event,
+        store=store, experiment=experiment, on_cell_event=on_cell_event
     )
     try:
         results, failures = instance.execute(scenarios, hooks)
@@ -199,10 +191,7 @@ def run_scenarios(
         if owned:
             instance.close()
     if failures and not instance.allow_partial:
-        raise CampaignIncompleteError(
-            failures, results, len(scenarios),
-            report=manifest.report() if manifest is not None else None,
-        )
+        raise CampaignIncompleteError(failures, results, len(scenarios))
     return results  # type: ignore[return-value]
 
 
@@ -315,7 +304,6 @@ class Campaign:
     def run(
         self,
         store=None,
-        progress: Optional[Callable[[int, int, Scenario], None]] = None,
         cache=None,
         executor=None,
     ) -> CampaignResult:
@@ -332,11 +320,5 @@ class Campaign:
         scenarios = self.scenarios()
         if not scenarios:
             raise ExperimentError("campaign has no scenarios")
-        runs = run_scenarios(
-            scenarios,
-            store=store,
-            progress=progress,
-            cache=cache,
-            executor=executor,
-        )
+        runs = run_scenarios(scenarios, store=store, cache=cache, executor=executor)
         return CampaignResult(scenarios=scenarios, runs=runs)

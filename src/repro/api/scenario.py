@@ -132,7 +132,7 @@ class Scenario:
     # -- introspection ---------------------------------------------------------
 
     def describe(self) -> str:
-        """One-line human summary (used by Campaign progress logs)."""
+        """One-line human summary (used by cell events and failure reports)."""
         c = self.config
         return (
             f"{c.protocol.value} n={c.n_nodes} "

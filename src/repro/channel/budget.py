@@ -6,8 +6,9 @@ single calibrated constant (``ChannelConfig.noise_floor_dbm``, default
 −71 dBm) chosen so a typical intra-cluster sensor→cluster-head link
 (≈20 m when 5 heads serve the 100 m × 100 m field) sees a mean SNR
 around 20 dB, putting the 4 ABICM modes
-all in play (DESIGN.md §2).  Helper :func:`calibrate_noise_floor` computes
-the floor for any target operating point.
+all in play (pinned by ``tests/test_link_and_budget.py::TestLinkBudget::
+test_default_operating_point``).  Helper :func:`calibrate_noise_floor`
+computes the floor for any target operating point.
 """
 
 from __future__ import annotations

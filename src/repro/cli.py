@@ -17,6 +17,8 @@ The service tier (see :mod:`repro.service`) adds the result database,
 the content-addressed run cache, and the campaign server::
 
     repro-caem run fig10 --cache results.sqlite   # repeat = pure reads
+    repro-caem run fig10 --cache results.sqlite --executor supervised
+    #   killed mid-sweep?  re-run the same line: stored cells are hits
     repro-caem migrate runs/fig11.jsonl results.sqlite
     repro-caem query results.sqlite --experiment fig10 --where 'delivery_rate>0.9'
     repro-caem query results.sqlite --agg mean --group-by protocol,load
@@ -107,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
         "'distributed:bind=127.0.0.1:8400,local=2' (self-hosts a "
         "coordinator; remote machines join with 'repro-caem worker "
         "--connect URL'); results identical under every executor "
-        "(default: serial; with --resume: supervised)",
+        "(default: serial)",
     )
     run_p.add_argument(
         "--backend",
@@ -142,17 +144,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DB",
         help="content-addressed run cache: serve grid cells already in "
-        "this .sqlite result database, simulate and store only the "
-        "misses (a repeated run is 100%% reads; cache stats go to stderr)",
-    )
-    run_p.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume an interrupted campaign from the --store/--cache "
-        "result database: cells already stored are served as-is, only "
-        "the missing remainder is simulated (output byte-identical to "
-        "an uninterrupted run); progress is checkpointed in a durable "
-        "manifest as cells complete",
+        "this .sqlite result database (or .jsonl store), simulate and "
+        "store only the misses (a repeated run is 100%% reads, and "
+        "re-running an interrupted one resumes it; cache stats go to "
+        "stderr)",
     )
     run_p.add_argument(
         "--profile",
@@ -395,6 +390,7 @@ def _profiled(body, args: argparse.Namespace) -> int:
 
 def _cmd_run_body(args: argparse.Namespace) -> int:
     from .service import RunCache, open_store
+    from .service.db import require_series
 
     names = (
         _known_names() if args.experiment == "all" else [args.experiment]
@@ -402,12 +398,7 @@ def _cmd_run_body(args: argparse.Namespace) -> int:
     stored_runs = None
     if args.from_store:
         from_store = open_store(args.from_store)
-        if from_store.format not in ("jsonl", "sqlite"):
-            raise ExperimentError(
-                "--from requires a .jsonl store or a .sqlite result "
-                "database: CSV stores are scalar-only (time series "
-                "dropped), so series figures would render empty"
-            )
+        require_series(from_store, "--from")
         if not from_store.path.exists():
             raise ExperimentError(f"no such result store: {from_store.path}")
         stored_runs = from_store.load()
@@ -422,46 +413,14 @@ def _cmd_run_body(args: argparse.Namespace) -> int:
             f"itself (--from and --store name the same file)"
         )
     cache = None
-    if args.resume:
-        if args.from_store:
-            raise ExperimentError(
-                "--resume and --from are mutually exclusive: --resume "
-                "re-simulates the missing cells, --from never simulates"
-            )
-        if not (args.cache or args.store):
-            raise ExperimentError(
-                "--resume needs the result database to resume from: "
-                "name it with --store (or --cache)"
-            )
-        resume_store = (
-            open_store(args.cache) if args.cache else store
-        )
-        if resume_store.format not in ("jsonl", "sqlite"):
-            raise ExperimentError(
-                "--resume requires a .jsonl store or a .sqlite result "
-                "database: CSV stores are scalar-only, so resumed cells "
-                "would render differently from simulated ones"
-            )
-        # The resume target becomes the cache's database (hits served
-        # from it, misses appended there); when it came from --store the
-        # post-run bulk extend below must not also run — it would store
-        # every row a second time.
-        cache = RunCache(resume_store, manifest=True)
-        if not args.cache:
-            store = None
-    elif args.cache:
+    if args.cache:
         if args.from_store:
             raise ExperimentError(
                 "--cache and --from are mutually exclusive: --cache "
                 "already reads stored cells and simulates only the misses"
             )
         cache = RunCache(open_store(args.cache))
-    executor = args.executor
-    if executor is None and args.resume:
-        # A resumed campaign is one that crashed before: by default it
-        # runs supervised (process-per-cell, two retries per cell).
-        executor = "supervised"
-    with use_run_cache(cache), use_executor(executor):
+    with use_run_cache(cache), use_executor(args.executor):
         for name in names:
             spec = get_experiment(name)
             figure = spec.run(
@@ -486,8 +445,6 @@ def _cmd_run_body(args: argparse.Namespace) -> int:
         # Stats go to stderr so stdout stays byte-identical between the
         # cold and the fully cached pass (the CI diff relies on that).
         sys.stderr.write(cache.stats.describe() + "\n")
-        if args.resume and cache.last_manifest is not None:
-            sys.stderr.write(cache.last_manifest.describe() + "\n")
     return 0
 
 

@@ -15,8 +15,9 @@ everyone serves roughly once — the rotation that "realizes a graceful
 energy consumption evenly distributed in the whole network".
 
 Edge case the formula leaves open: a round can elect zero heads.  The
-standard fix (used here, documented in DESIGN.md) is to fall back to one
-uniformly-chosen eligible node so the network never idles a whole round.
+standard fix, used here, is to fall back to one uniformly-chosen eligible
+node so the network never idles a whole round (pinned by
+``tests/test_cluster.py::TestLeachElection::test_at_least_one_head_always``).
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Field topology: node placement and distance geometry.
 
 The paper deploys 100 static nodes in a square testing field (Table II;
-edge length scan-damaged, 100 m assumed — DESIGN.md §2).  Placement is
+edge length scan-damaged, 100 m assumed as in standard LEACH —
+:data:`repro.constants.FIELD_SIZE_M`).  Placement is
 uniform-random (the usual LEACH setting); a deterministic grid is provided
 for tests and worked examples.
 """

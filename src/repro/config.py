@@ -96,7 +96,8 @@ class ChannelConfig:
     #: Effective noise+interference floor, dBm.  Calibrated so the
     #: *typical intra-cluster* sensor-CH link (≈20 m with 5 cluster heads
     #: in the 100 m field) sees mean SNR ≈ 20 dB, which puts all four
-    #: ABICM modes in play on real cluster geometry (DESIGN.md §2).
+    #: ABICM modes in play on real cluster geometry (see
+    #: :func:`repro.channel.budget.calibrate_noise_floor`).
     noise_floor_dbm: float = -71.0
     #: Minimum node separation used to clamp path-loss queries, m.
     min_distance_m: float = 1.0
@@ -170,7 +171,8 @@ class EnergyConfig:
     sleep_power_w: float = C.DATA_SLEEP_POWER_W
     tone_tx_power_w: float = C.TONE_TX_POWER_W
     tone_rx_power_w: float = C.TONE_RX_POWER_W
-    #: Sleep -> active switch time of the data radio (DESIGN.md §2).
+    #: Sleep -> active switch time of the data radio (the scan's unit is
+    #: lost; :data:`repro.constants.RADIO_STARTUP_TIME_S` gives the reading).
     startup_time_s: float = C.RADIO_STARTUP_TIME_S
     #: Power drawn during startup; RFM-class radios burn ~TX power while
     #: the synthesizer locks.

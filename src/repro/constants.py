@@ -1,8 +1,8 @@
 """Shared constants for the CAEM reproduction.
 
 These mirror the paper's Table I / Table II values and Section III prose.
-Where the scanned paper is ambiguous the choice is documented in DESIGN.md
-(§2 "substitutions") and every value remains overridable through
+Where the scanned paper is ambiguous the comment at the constant states
+the reading chosen and why, and every value remains overridable through
 :mod:`repro.config`.
 """
 
@@ -69,7 +69,7 @@ DATA_RX_POWER_W = 0.305  # "Receive Power for Data Channel: 0.305 W"
 #: "Sleep Power: 3.5" -- unit lost in the scan.  The RFM TR1000 radio the
 #: paper cites sleeps at ~0.7 uA x 3 V ~= 2 uW, so 3.5 uW is the
 #: hardware-consistent reading (3.5 mW would cap any protocol's lifetime
-#: at ~2900 s and make the paper's +130% gain unreachable; DESIGN.md §2).
+#: at ~2900 s and make the paper's +130% gain unreachable).
 DATA_SLEEP_POWER_W = 3.5e-6
 TONE_TX_POWER_W = 92e-3  # "Transmit Power for Tone Channel: 92" (mW assumed)
 TONE_RX_POWER_W = 36e-3  # "Receive Power for Tone Channel: 36" (mW assumed)
@@ -77,8 +77,9 @@ TONE_RX_POWER_W = 36e-3  # "Receive Power for Tone Channel: 36" (mW assumed)
 #: RFM radio sleep->active switch time: "the RFM radio needs 20 [us] to
 #: switch from sleep mode to active mode" (unit lost in the scan; 20 us is
 #: the only reading consistent with the paper's 200 us initial backoff
-#: window -- see DESIGN.md §2).  Schurgers et al.'s 466 us synthesizer-lock
-#: figure is exercised as an ablation.
+#: window).  Schurgers et al.'s 466 us synthesizer-lock figure is
+#: exercised as an ablation (``tests/test_paper_claims.py::
+#: test_ablation_startup_time``).
 RADIO_STARTUP_TIME_S = us(20)
 
 #: Time a sensor needs to classify the tone-channel state ("Sensing Delay: 8").
@@ -95,7 +96,8 @@ INITIAL_ENERGY_J = 10.0  # "The initial battery energy level is 10 Joules"
 
 #: "we further call a network dead if the percentage of nodes exhausted
 #: exceeds ..." -- number lost in the scan; LEACH die-off is abrupt so the
-#: metric is insensitive to this (DESIGN.md §2).
+#: metric is insensitive to this; 0.8 is the reading chosen
+#: (:func:`repro.metrics.lifetime.dead_threshold` applies it).
 DEAD_NETWORK_FRACTION = 0.8
 
 # -- ABICM (4-mode) ----------------------------------------------------------

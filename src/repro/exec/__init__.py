@@ -6,7 +6,7 @@ Everything that decides *how* a scenario grid runs lives here:
   value that names an execution policy, plus the ambient
   :func:`use_executor` context;
 * :mod:`~repro.exec.base` — the :class:`CampaignExecutor` contract,
-  :class:`ExecutionHooks` (store/manifest/progress/event surface), and
+  :class:`ExecutionHooks` (store and event surface), and
   the failure vocabulary (:class:`CellFailure`,
   :class:`CampaignIncompleteError`);
 * :mod:`~repro.exec.local` — :class:`SerialExecutor` and

@@ -1,17 +1,15 @@
 """The executor contract: what every campaign execution backend implements.
 
 A :class:`CampaignExecutor` takes an ordered scenario list and settles
-every cell exactly once, honouring four invariants that the rest of the
-stack (stores, manifests, the run cache, the campaign server) builds on:
+every cell exactly once, honouring three invariants that the rest of the
+stack (stores, the run cache, the campaign server) builds on:
 
 * **input order** — the returned result list lines up index-for-index
   with the input scenarios, whatever order cells actually executed in;
-* **settled-prefix flush** — ``store`` / ``manifest`` / ``progress``
-  side effects happen strictly in grid order as the completed prefix
-  grows, so persisted output is byte-identical to a serial run even
-  when execution is parallel, supervised, or distributed;
-* **ledger trails store** — ``manifest.record_done`` fires only after
-  the row reached the store, never before;
+* **settled-prefix flush** — store appends happen strictly in grid
+  order as the completed prefix grows, so persisted output is
+  byte-identical to a serial run even when execution is parallel,
+  supervised, or distributed;
 * **explicit failure** — a cell that cannot be completed surfaces as a
   :class:`CellFailure` (and ultimately a
   :class:`CampaignIncompleteError`), never as a silently missing row.
@@ -68,11 +66,11 @@ class CampaignIncompleteError(ExperimentError):
 
     Raised instead of returning a silent partial result: every completed
     cell was already persisted to the attached store, so fixing the
-    cause and re-running with resume re-simulates only the quarantined
-    remainder.  ``failures`` lists the quarantined cells with their
-    tracebacks; ``results`` is the index-aligned partial result list
-    (``None`` in quarantined slots); ``report`` carries the manifest's
-    status report when a manifest was attached.
+    cause and re-running with the same cache re-simulates only the
+    quarantined remainder.  ``failures`` lists the quarantined cells
+    with their tracebacks; ``results`` is the index-aligned partial
+    result list (``None`` in quarantined slots); ``total`` is the grid
+    size.
     """
 
     def __init__(
@@ -80,73 +78,71 @@ class CampaignIncompleteError(ExperimentError):
         failures: List[CellFailure],
         results: List[Optional[Any]],
         total: int,
-        report: Optional[Dict[str, Any]] = None,
     ):
         self.failures = failures
         self.results = results
-        self.report = report
+        self.total = total
         lines = [
             f"campaign incomplete: {len(failures)} of {total} cells "
             f"quarantined after exhausting retries"
         ]
         lines.extend(f"  {failure.describe()}" for failure in failures)
         lines.append(
-            "  completed cells are persisted; re-run with resume to retry "
-            "only the quarantined remainder"
+            "  completed cells are persisted; re-run with the same cache "
+            "to retry only the quarantined remainder"
         )
         super().__init__("\n".join(lines))
+
+    @property
+    def report(self) -> Dict[str, Any]:
+        """The JSON-safe status report (a server job's ``report``)."""
+        from ..api.pairing import describe_key, scenario_key
+
+        return {
+            "total": self.total,
+            "done": sum(run is not None for run in self.results),
+            "quarantined": len(self.failures),
+            "incomplete": True,
+            "quarantined_cells": [
+                {
+                    "cell": describe_key(scenario_key(failure.scenario)),
+                    "attempts": failure.attempts,
+                    "error": failure.error,
+                }
+                for failure in self.failures
+            ],
+        }
 
 
 class ExecutionHooks:
     """The side-effect surface one :meth:`CampaignExecutor.execute` call
-    flushes into: store, manifest, progress callback, event sink.
+    flushes into: a store and an event sink.
 
     Bundling them keeps every executor's signature identical and gives
-    the settled-prefix flush one home (:meth:`flush_done`): stamp the
-    experiment provenance, append to the store, record the manifest
-    ``done`` strictly after the append, then report progress.
+    the settled-prefix flush one home (:meth:`flush_done`).
     """
 
     def __init__(
         self,
         store=None,
-        progress: Optional[Callable[[int, int, Any], None]] = None,
         experiment: Optional[str] = None,
-        manifest=None,
         on_cell_event: Optional[Callable[[Dict[str, Any]], None]] = None,
     ):
         self.store = store
-        self.progress = progress
         self.experiment = experiment
-        self.manifest = manifest
         self.on_cell_event = on_cell_event
 
     def emit(self, event: Dict[str, Any]) -> None:
         if self.on_cell_event is not None:
             self.on_cell_event(event)
 
-    def manifest_key(self, scenario) -> Any:
-        from ..api.pairing import scenario_key
-
-        return scenario_key(scenario)
-
-    def flush_done(self, index: int, total: int, scenario, run) -> None:
-        """One settled-prefix step for a completed cell, in grid order."""
-        if run is not None:
-            if self.experiment is not None:
-                run.experiment = self.experiment
-            if self.store is not None:
-                self.store.append(run)
-            if self.manifest is not None:
-                # Strictly after the store append: the ledger trails the
-                # store, never leads it.
-                self.manifest.record_done(self.manifest_key(scenario))
-        if self.progress is not None:
-            self.progress(index, total, scenario)
-
-    def record_quarantine(self, scenario, error: str) -> None:
-        if self.manifest is not None:
-            self.manifest.record_quarantine(self.manifest_key(scenario), error)
+    def flush_done(self, run) -> None:
+        """One settled-prefix step for a completed cell, in grid order:
+        stamp the experiment provenance, then append to the store."""
+        if self.experiment is not None:
+            run.experiment = self.experiment
+        if self.store is not None:
+            self.store.append(run)
 
 
 class CampaignExecutor:

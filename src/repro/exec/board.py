@@ -439,7 +439,6 @@ def settle(
                         attempts=attempts,
                         error=error,
                     ))
-                    hooks.record_quarantine(scenarios[index], error)
                     hooks.emit({
                         "type": "quarantine",
                         "index": index,
@@ -449,9 +448,8 @@ def settle(
                     })
                 settled[index] = status in (DONE, QUARANTINED)
             while flushed < total and settled[flushed]:
-                hooks.flush_done(
-                    flushed, total, scenarios[flushed], results[flushed]
-                )
+                if results[flushed] is not None:
+                    hooks.flush_done(results[flushed])
                 flushed += 1
             if flushed == total:
                 return results, failures

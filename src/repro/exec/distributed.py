@@ -14,10 +14,10 @@ Two properties make the output indistinguishable from a serial run:
   cannot change a byte of the result;
 * **settled-prefix flush** — results settle on the board in whatever
   order workers finish, but the shared
-  :func:`~repro.exec.board.settle` loop applies ``store.append`` /
-  ``manifest.record_done`` / ``progress`` in the caller's thread,
-  strictly in grid order as the completed prefix grows, so the on-disk
-  order is exactly the serial one and a failing store fails the call.
+  :func:`~repro.exec.board.settle` loop applies ``store.append`` in the
+  caller's thread, strictly in grid order as the completed prefix
+  grows, so the on-disk order is exactly the serial one and a failing
+  store fails the call.
 
 Retries, quarantine and the events that report them are the board's
 and the settle loop's, shared with the supervised executor; this

@@ -1,12 +1,9 @@
 """In-process executors: serial and process-pool, plus the cell bodies.
 
-Extracted verbatim from the original ``run_scenarios`` body so the two
-oldest execution paths keep their exact observable behaviour — the
-serial path reports progress *before* each cell runs (so a progress bar
-shows the cell in flight), the pool path reports as ordered results
-arrive; both collect results in input order and let cell exceptions
-propagate (fault tolerance is the supervised/distributed executors'
-job).
+Both flush each result through :meth:`ExecutionHooks.flush_done` and
+emit its ``cell`` event as ordered results arrive; both collect results
+in input order and let cell exceptions propagate (fault tolerance is
+the supervised/distributed executors' job).
 
 :func:`run_attempt` is the one body of a fault-tolerant attempt: the
 supervised executor's child process and the distributed worker loop
@@ -79,16 +76,9 @@ class SerialExecutor(CampaignExecutor):
         total = len(scenarios)
         results = []
         for i, sc in enumerate(scenarios):
-            if hooks.progress is not None:
-                hooks.progress(i, total, sc)
             run = execute_scenario(sc)
-            if hooks.experiment is not None:
-                run.experiment = hooks.experiment
+            hooks.flush_done(run)
             results.append(run)
-            if hooks.store is not None:
-                hooks.store.append(run)
-            if hooks.manifest is not None:
-                hooks.manifest.record_done(hooks.manifest_key(sc))
             hooks.emit({
                 "type": "cell",
                 "index": i,
@@ -134,15 +124,8 @@ class PoolExecutor(CampaignExecutor):
             for i, run in enumerate(
                 pool.map(execute_scenario, scenarios, chunksize=1)
             ):
-                if hooks.progress is not None:
-                    hooks.progress(i, total, scenarios[i])
-                if hooks.experiment is not None:
-                    run.experiment = hooks.experiment
+                hooks.flush_done(run)
                 results.append(run)
-                if hooks.store is not None:
-                    hooks.store.append(run)
-                if hooks.manifest is not None:
-                    hooks.manifest.record_done(hooks.manifest_key(scenarios[i]))
                 hooks.emit({
                     "type": "cell",
                     "index": i,

@@ -177,8 +177,9 @@ class ToneRadio(_EnergyStateMachine):
     ``monitor_duty`` models synchronized duty-cycled listening: once a
     sensor has locked on to the pulse schedule it only powers the tone
     receiver in windows around the expected pulse times, so the effective
-    monitoring power is ``tone_rx · monitor_duty`` (DESIGN.md §2).
-    ``monitor_duty=1.0`` recovers continuous listening.
+    monitoring power is ``tone_rx · monitor_duty``; the default duty is
+    ``ToneConfig.monitor_duty_cycle`` (0.08, derived there from the pulse
+    schedule).  ``monitor_duty=1.0`` recovers continuous listening.
     """
 
     def __init__(

@@ -15,7 +15,8 @@ The controller the paper contributes.  Verbatim mechanics:
   **ΔV < 0**, *raise it directly to the highest* class (e.g. straight
   from 250 kbps back to 2 Mbps) to save energy.
 
-Interpretive choice (scan ambiguity, documented in DESIGN.md): the
+Interpretive choice (scan ambiguity, pinned by ``tests/test_policy.py::
+TestAdaptiveController::test_drain_below_qstart_disarms_and_resets``): the
 controller disarms — and the threshold snaps to the highest class — when
 the queue drains back below Q_start; this is behaviourally equivalent to
 keeping it armed (a draining queue has ΔV < 0, which forces the highest

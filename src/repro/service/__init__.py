@@ -19,10 +19,10 @@ Three layers, each usable on its own:
   ``repro-caem query`` (:mod:`~repro.service.query`) for the same
   filtered reads without a server.
 
-Fault tolerance rides across all three: campaign progress checkpoints
-into durable **manifests** (:mod:`~repro.service.manifest`) keyed by the
-run-cache pairing, so an interrupted sweep resumes from the completed
-cells; and the seeded **fault-injection harness**
+Fault tolerance rides across all three: the run cache appends each
+simulated cell to the database as it completes, so re-running an
+interrupted sweep with the same cache serves the stored cells and
+simulates only the rest; and the seeded **fault-injection harness**
 (:mod:`~repro.service.faults`) drives the chaos tests — worker crashes,
 hangs, torn writes, fsync failures — that prove it.
 """
@@ -32,13 +32,11 @@ from .cache import CacheStats, RunCache
 from .db import DB_SUFFIXES, DbResultStore, open_store
 from .faults import FaultInjector, FaultPlan, InjectedFault, inject_faults
 from .gc import collect_garbage, describe_gc
-from .manifest import CampaignManifest, manifest_for_store
 from .migrations import MIGRATIONS, SCHEMA_VERSION, ensure_schema, schema_version
 from .query import Predicate, aggregate_runs, parse_predicate, query_runs
 
 __all__ = [
     "CacheStats",
-    "CampaignManifest",
     "CampaignServer",
     "DB_SUFFIXES",
     "DbResultStore",
@@ -57,7 +55,6 @@ __all__ = [
     "describe_gc",
     "ensure_schema",
     "inject_faults",
-    "manifest_for_store",
     "open_store",
     "parse_predicate",
     "query_runs",

@@ -27,12 +27,14 @@ code region (CLI ``--cache``, the campaign server's workers)::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..api import campaign as _campaign
 from ..api.pairing import pair_stored_runs, scenario_key
 from ..api.result import RunResult
+from ..exec.base import CampaignIncompleteError
+from .db import require_series
 
 __all__ = ["CacheStats", "RunCache"]
 
@@ -76,29 +78,24 @@ class CacheStats:
 class RunCache:
     """Digest-keyed read-through cache over a result store.
 
-    ``store`` is any store with ``extend`` and either ``rows_for_digests``
-    (the indexed :class:`~repro.service.DbResultStore` path) or ``load``
-    (flat files work too, at scan cost).  ``on_event`` receives progress
-    dicts (the campaign server streams them as NDJSON): a ``plan`` event
-    up front, then one ``cell`` event per grid cell with its source.
+    ``store`` is any full-fidelity store with ``extend`` and either
+    ``rows_for_digests`` (the indexed :class:`~repro.service.DbResultStore`
+    path) or ``load`` (a JSONL file works too, at scan cost); a CSV
+    store is refused, since its rows lack the time series.  ``on_event``
+    receives progress dicts (the campaign server streams them as
+    NDJSON): a ``plan`` event up front, then one ``cell`` event per grid
+    cell with its source.
     """
 
     def __init__(
         self,
         store,
         on_event: Optional[Callable[[Dict[str, Any]], None]] = None,
-        manifest: bool = False,
     ):
+        require_series(store, "the run cache")
         self.store = store
         self.stats = CacheStats()
         self.on_event = on_event
-        #: Keep a durable checkpoint/resume ledger per campaign grid
-        #: (see :mod:`repro.service.manifest`): hits are marked done,
-        #: supervised misses record attempts/quarantines.  The manifest
-        #: of the most recent :meth:`execute` is kept on
-        #: :attr:`last_manifest` for reporting.
-        self.keep_manifest = manifest
-        self.last_manifest = None
 
     def _emit(self, event: Dict[str, Any]) -> None:
         if self.on_event is not None:
@@ -123,9 +120,7 @@ class RunCache:
         self,
         scenarios: Sequence,
         store=None,
-        progress=None,
         experiment: Optional[str] = None,
-        manifest=None,
         on_cell_event=None,
         executor=None,
     ) -> List[RunResult]:
@@ -134,26 +129,19 @@ class RunCache:
         Returns results index-aligned with ``scenarios`` — exactly what
         plain execution would return, with hits read instead of computed.
         Misses are appended to the cache's own database as they finish
-        (an interrupted campaign keeps its completed cells); ``store``
-        (the caller's ``--store`` target, if any) still receives *every*
-        result in grid order.
+        (an interrupted campaign keeps its completed cells, and a re-run
+        serves them as hits); ``store`` (the caller's ``--store`` target,
+        if any) still receives *every* result in grid order.
 
         ``executor`` (anything :func:`repro.api.campaign.resolve_executor`
         accepts; ``None`` consults the ambient :func:`~repro.api.use_executor`,
         else serial) names the backend the misses run under — the cache
-        itself is backend-agnostic.  With ``manifest=True`` on
-        the cache (or an explicit ``manifest`` ledger) every cell's
-        progress is checkpointed durably — hits are marked done
-        immediately, simulated misses record done/attempts/quarantines —
-        which is what ``--resume`` reads back.
+        itself is backend-agnostic.  A :class:`CampaignIncompleteError`
+        from the misses is re-raised in grid coordinates: cell indices,
+        the grid total, and ``results`` with the hits in their slots.
         """
         scenarios = list(scenarios)
         executor = _campaign.resolve_executor(executor)
-        if manifest is None and self.keep_manifest:
-            from .manifest import manifest_for_store
-
-            manifest = manifest_for_store(self.store, scenarios, experiment)
-        self.last_manifest = manifest
         candidates = self._stored_candidates(scenarios)
         sizes = {id(run): nbytes for run, nbytes in candidates}
         paired, _missing = pair_stored_runs(
@@ -179,16 +167,12 @@ class RunCache:
         for i, run in enumerate(paired):
             if run is not None:
                 self._emit(self._cell_event(i, total, scenarios[i], "cache"))
-        if manifest is not None:
-            for i, run in enumerate(paired):
-                if run is not None:
-                    manifest.record_done(scenario_key(scenarios[i]))
 
         if miss_indices:
             # Whatever executor runs the misses emits the per-cell events
-            # itself (with attempt counts and retry/quarantine detail)
-            # and records the manifest ledger; translate its sub-grid
-            # indices back to grid coordinates and forward.
+            # itself (with attempt counts and retry/quarantine detail);
+            # translate its sub-grid indices back to grid coordinates and
+            # forward.
             def translate(event):
                 event = dict(event)
                 if "index" in event:
@@ -200,29 +184,35 @@ class RunCache:
                 if on_cell_event is not None:
                     on_cell_event(event)
 
-            simulated = _campaign.run_scenarios(
-                [scenarios[i] for i in miss_indices],
-                store=_Collector(self.store.append),
-                experiment=experiment,
-                cache=_campaign.NO_CACHE,
-                manifest=manifest,
-                on_cell_event=translate,
-                executor=executor,
-            )
+            try:
+                simulated = _campaign.run_scenarios(
+                    [scenarios[i] for i in miss_indices],
+                    store=self.store,
+                    experiment=experiment,
+                    cache=_campaign.NO_CACHE,
+                    on_cell_event=translate,
+                    executor=executor,
+                )
+            except CampaignIncompleteError as exc:
+                for index, run in zip(miss_indices, exc.results):
+                    paired[index] = run
+                failures = [
+                    replace(f, index=miss_indices[f.index])
+                    for f in exc.failures
+                ]
+                raise CampaignIncompleteError(failures, paired, total) from None
             for index, run in zip(miss_indices, simulated):
                 paired[index] = run
 
         results: List[RunResult] = paired  # type: ignore[assignment]
-        for i, run in enumerate(results):
-            if progress is not None:
-                progress(i, total, scenarios[i])
-            if store is not None and run is not None:
-                store.append(run)
+        if store is not None:
+            for run in results:
+                if run is not None:
+                    store.append(run)
         return results
 
     @staticmethod
-    def _cell_event(index: int, total: int, scenario, source: str
-                    ) -> Dict[str, Any]:
+    def _cell_event(index: int, total: int, scenario, source: str) -> Dict[str, Any]:
         return {
             "type": "cell",
             "index": index,
@@ -231,12 +221,3 @@ class RunCache:
             "scenario": scenario.describe(),
         }
 
-
-class _Collector:
-    """Adapter: present a callable as the store interface."""
-
-    def __init__(self, fn: Callable[[RunResult], None]):
-        self._fn = fn
-
-    def append(self, run: RunResult) -> None:
-        self._fn(run)

@@ -42,7 +42,7 @@ from ..api.store import STORE_FORMAT_VERSION, ResultStore, check_format_version
 from ..errors import ExperimentError
 from .migrations import ensure_schema
 
-__all__ = ["DbResultStore", "open_store", "DB_SUFFIXES"]
+__all__ = ["DbResultStore", "open_store", "require_series", "DB_SUFFIXES"]
 
 #: File suffixes routed to the SQLite backend by :func:`open_store`.
 DB_SUFFIXES = (".sqlite", ".sqlite3", ".db")
@@ -57,6 +57,17 @@ def open_store(path: Union[str, Path]) -> Union[ResultStore, "DbResultStore"]:
     if Path(path).suffix.lower() in DB_SUFFIXES:
         return DbResultStore(path)
     return ResultStore(path)
+
+
+def require_series(store, role: str) -> None:
+    """Refuse a CSV store where stored rows must render like simulated
+    ones: CSV rows are scalar-only, so a series figure would be empty."""
+    if store.format == "csv":
+        raise ExperimentError(
+            f"{role} needs a .jsonl store or a .sqlite result database: "
+            f"CSV stores are scalar-only (time series dropped), so series "
+            f"figures would render empty"
+        )
 
 
 class DbResultStore:
@@ -157,54 +168,6 @@ class DbResultStore:
             conn.execute("COMMIT")
         if faults is not None:
             faults.check_fsync(fault_key)
-
-    # -- manifests (checkpoint/resume ledgers) ---------------------------------
-
-    def save_manifest(self, fingerprint: str, experiment: Optional[str],
-                      payload: str) -> None:
-        """Upsert one campaign manifest ledger (atomic row replace)."""
-        import time as _time
-
-        with self._connect() as conn:
-            conn.execute(
-                "INSERT OR REPLACE INTO manifests "
-                "(fingerprint, experiment, updated_at, payload) "
-                "VALUES (?, ?, ?, ?)",
-                (fingerprint, experiment, _time.time(), payload),
-            )
-
-    def load_manifest(self, fingerprint: str) -> Optional[str]:
-        """The stored ledger JSON for ``fingerprint``, or ``None``."""
-        with self._connect() as conn:
-            row = conn.execute(
-                "SELECT payload FROM manifests WHERE fingerprint = ?",
-                (fingerprint,),
-            ).fetchone()
-        return None if row is None else row[0]
-
-    def list_manifests(self) -> List[dict]:
-        """Summaries of every stored manifest, newest update last."""
-        out: List[dict] = []
-        with self._connect() as conn:
-            for fingerprint, experiment, updated_at, payload in conn.execute(
-                "SELECT fingerprint, experiment, updated_at, payload "
-                "FROM manifests ORDER BY updated_at"
-            ):
-                data = json.loads(payload)
-                cells = data.get("cells", [])
-                out.append(
-                    {
-                        "fingerprint": fingerprint,
-                        "experiment": experiment,
-                        "updated_at": updated_at,
-                        "total": len(cells),
-                        "done": sum(1 for c in cells if c.get("status") == "done"),
-                        "quarantined": sum(
-                            1 for c in cells if c.get("status") == "quarantined"
-                        ),
-                    }
-                )
-        return out
 
     # -- reading ---------------------------------------------------------------
 

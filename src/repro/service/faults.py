@@ -2,9 +2,9 @@
 
 Recovery code that is never exercised is recovery code that does not
 work.  This module lets tests and the CI ``chaos-smoke`` gate *prove*
-that campaign execution survives the failures the supervisor
-(:mod:`repro.api.campaign`) and the manifest/resume machinery
-(:mod:`repro.service.manifest`) exist for, instead of assuming it:
+that campaign execution survives the failures the supervised executor
+(:mod:`repro.exec.supervised`) and the run cache's resume
+(:mod:`repro.service.cache`) exist for, instead of assuming it:
 
 * **worker crashes** — a supervised worker process dies mid-cell with a
   hard ``os._exit`` (indistinguishable from a SIGKILL / OOM kill);
@@ -25,7 +25,7 @@ Activation is by environment variable so the fault plan crosses process
 boundaries into supervised worker children::
 
     REPRO_FAULTS='{"seed": 7, "worker_crash_rate": 0.3}' \
-        repro-caem run fig8 --store runs.sqlite --resume \
+        repro-caem run fig8 --cache runs.sqlite \
             --executor supervised:retries=5
 
 or, in-process and scoped, via :func:`inject_faults` (which also sets

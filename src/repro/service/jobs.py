@@ -67,7 +67,8 @@ class JobRecord:
 
     Terminal statuses: ``done`` (every cell completed), ``failed`` (the
     job itself errored), ``incomplete`` (supervised run finished with
-    quarantined cells — ``report`` holds the manifest's ledger), and
+    quarantined cells — ``report`` counts them, see
+    :attr:`~repro.exec.CampaignIncompleteError.report`), and
     ``aborted`` (server shut down before/while the job ran).  Whatever
     the path out, the condition is notified, so ``wait``/``wait_events``
     long-pollers are never stranded.
@@ -88,7 +89,7 @@ class JobRecord:
     quarantined: int = 0
     cache: Dict[str, Any] = field(default_factory=dict)
     error: Optional[str] = None
-    #: Manifest status report (supervised jobs that end incomplete).
+    #: Quarantine report (supervised jobs that end incomplete).
     report: Optional[Dict[str, Any]] = None
     #: Rendered figure text (experiment specs only).
     figure_text: Optional[str] = None
@@ -384,7 +385,7 @@ class JobManager:
     def _run_job(self, record: JobRecord) -> None:
         spec = record.spec
         plan = self._build_plan(spec)
-        cache = RunCache(self.db, on_event=record.emit, manifest=True)
+        cache = RunCache(self.db, on_event=record.emit)
         # Instantiated here (not inside use_executor) so a distributed
         # job attaches to the server's shared lease board; closed in the
         # finally below.
@@ -407,7 +408,7 @@ class JobManager:
         except CampaignIncompleteError as exc:
             # Quarantined cells: an explicit partial outcome, not a crash.
             # Completed cells are already persisted; resubmitting the same
-            # spec resumes from the manifest and retries only the rest.
+            # spec serves them from the cache and retries only the rest.
             record.cache = cache.stats.as_dict()
             record.report = exc.report
             record.emit(
@@ -415,7 +416,7 @@ class JobManager:
                     "type": "incomplete",
                     "quarantined": len(exc.failures),
                     "error": str(exc),
-                    "report": exc.report,
+                    "report": record.report,
                     "cache": record.cache,
                 }
             )

@@ -64,11 +64,8 @@ MIGRATIONS: List[Tuple[int, Sequence[str]]] = [
     (
         3,
         [
-            # Campaign manifests (checkpoint/resume ledgers): one row
-            # per campaign fingerprint, the full JSON ledger in
-            # `payload` (see repro.service.manifest).  Kept in the same
-            # file as the rows so a result database carries its own
-            # resume state.
+            # Campaign manifests: kept so files of every version open,
+            # but no longer written (stored rows alone say what is done).
             """
             CREATE TABLE manifests (
                 fingerprint TEXT PRIMARY KEY,

@@ -39,7 +39,7 @@ class TestLinkBudget:
 
     def test_default_operating_point(self):
         """Typical intra-cluster link (~20 m) lands near 20 dB mean SNR,
-        putting all four ABICM modes in play (DESIGN §2)."""
+        putting all four ABICM modes in play (``ChannelConfig.noise_floor_dbm``)."""
         snr = _budget().mean_snr_db(20.0)
         assert 15.0 <= snr <= 25.0
 

@@ -5,6 +5,7 @@ import pytest
 from repro.api import Campaign, ResultStore, Scenario, use_run_cache
 from repro.api.campaign import active_run_cache
 from repro.config import Protocol
+from repro.errors import ExperimentError
 from repro.service import DbResultStore, RunCache
 
 
@@ -103,6 +104,20 @@ class TestRunCache:
         assert second.stats.misses == 0
         assert [a.to_dict() for a in r1.runs] == \
             [b.to_dict() for b in r2.runs]
+
+    def test_csv_store_is_refused(self, tmp_path, capsys):
+        """CSV rows are scalar-only: a warm pass would render series
+        figures empty, so the cache refuses the store up front, for API
+        callers and ``--cache`` alike."""
+        from repro.cli import main
+
+        with pytest.raises(ExperimentError, match="scalar-only"):
+            RunCache(ResultStore(tmp_path / "runs.csv"))
+        code = main(["run", "fig8", "--preset", "smoke", "--seeds", "1",
+                     "--cache", str(tmp_path / "c.csv")])
+        assert code == 1
+        assert "scalar-only" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
 
     def test_events_emitted_in_both_paths(self, tmp_path):
         db = DbResultStore(tmp_path / "runs.sqlite")

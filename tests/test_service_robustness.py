@@ -212,7 +212,10 @@ class TestSupervisedJobs:
             assert record.retries == 1  # attempt 2 of 2 (retries=1)
             assert record.report is not None
             assert record.report["incomplete"] is True
-            assert record.report["quarantined_cells"]
+            # The board's attempt count: 2 of 2 under retries=1.
+            assert [c["attempts"] for c in
+                    record.report["quarantined_cells"]] == [2]
+            assert (record.report["total"], record.report["done"]) == (1, 0)
             snap = record.snapshot()
             assert snap["status"] == "incomplete"
             assert snap["quarantined"] == 1

@@ -196,7 +196,7 @@ class TestWriterCrash:
     ):
         """SIGKILL a database writer inside an uncommitted batch: WAL
         recovery keeps every committed batch and discards the torn one,
-        and a manifest-tracked resume completes the campaign without
+        and a cached resume completes the campaign without
         re-simulating the survivors."""
         from repro.api import run_scenarios
         from repro.service import DbResultStore, RunCache
@@ -231,12 +231,11 @@ class TestWriterCrash:
             [r.to_dict() for r in runs[:2]]
 
         # Resume: the survivors are cache hits, only the torn batch's
-        # cells re-simulate, and the manifest closes complete.
-        cache = RunCache(store, manifest=True)
+        # cells re-simulate.
+        cache = RunCache(store)
         resumed = cache.execute(scenarios)
         assert cache.stats.hits == 2
         assert cache.stats.misses == 2
-        assert cache.last_manifest.complete
         for a, b in zip(runs, resumed):
             da, db_ = a.to_dict(), b.to_dict()
             da.pop("wall_time_s"), db_.pop("wall_time_s")
