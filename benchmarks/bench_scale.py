@@ -33,8 +33,6 @@ Usage::
                                                     --require-speedup 0.64
     PYTHONPATH=src python benchmarks/bench_scale.py --backend vector \
                                                     --require-speedup 10
-    PYTHONPATH=src python benchmarks/bench_scale.py --with-brute   # also time
-                                                   # the brute/no-pool path
 
 Everything runs serially — the reference container has one CPU.
 """
@@ -57,8 +55,8 @@ DEFAULT_NODES = (100, 300, 1000)
 HORIZON_S = 40.0  # two full 20 s LEACH rounds (matches BENCH_scale.json)
 
 
-def _measure_single(n_nodes: int, rounds: int, brute: bool,
-                    backend: str, profile_dir: str = None) -> dict:
+def _measure_single(n_nodes: int, rounds: int, backend: str,
+                    profile_dir: str = None) -> dict:
     """One size, in-process: best-of-``rounds`` wall seconds + peak RSS."""
     from repro.config import Protocol
     from repro.experiments.scale import scale_config
@@ -66,10 +64,6 @@ def _measure_single(n_nodes: int, rounds: int, brute: bool,
     cfg = scale_config(
         n_nodes, Protocol.CAEM_ADAPTIVE, seed=1, backend=backend
     )
-    if brute:
-        cfg = cfg.with_scale(
-            spatial_index="brute", link_pool=False, reuse_head_stack=False
-        )
     best = float("inf")
     # The vector engine processes no events (its events_processed counts
     # coherence steps), so its rows record none.
@@ -109,7 +103,6 @@ def _measure_single(n_nodes: int, rounds: int, brute: bool,
         "events": events,
         "backend": backend,
         "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-        "brute": brute,
     }
 
 
@@ -125,8 +118,8 @@ def _vm_hwm_kb(pid: int) -> int:
     return 0
 
 
-def _measure_subprocess(n_nodes: int, rounds: int, brute: bool,
-                        backend: str, profile_dir: str = None) -> dict:
+def _measure_subprocess(n_nodes: int, rounds: int, backend: str,
+                        profile_dir: str = None) -> dict:
     """Run one size in a fresh interpreter (clean per-size peak RSS).
 
     The parent polls the child's ``VmHWM`` while it runs and keeps the
@@ -139,8 +132,6 @@ def _measure_subprocess(n_nodes: int, rounds: int, brute: bool,
         "--single", str(n_nodes), "--rounds", str(rounds),
         "--backend", backend,
     ]
-    if brute:
-        cmd.append("--brute")
     if profile_dir is not None:
         cmd += ["--profile-rounds", profile_dir]
     proc = subprocess.Popen(
@@ -187,9 +178,6 @@ def main(argv=None) -> int:
     parser.add_argument("--backend", default="event",
                         choices=("event", "vector", "both"),
                         help="engine(s) to time (default: event)")
-    parser.add_argument("--with-brute", action="store_true",
-                        help="also time the brute-force/no-pool path per size "
-                             "(event backend only)")
     parser.add_argument("--require-speedup", type=float, default=None,
                         metavar="X",
                         help="fail unless the largest baselined size runs at "
@@ -207,14 +195,12 @@ def main(argv=None) -> int:
                              "under-a-minute gate)")
     parser.add_argument("--single", type=int, default=None,
                         help=argparse.SUPPRESS)  # subprocess worker mode
-    parser.add_argument("--brute", action="store_true",
-                        help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
     if args.single is not None:
         print(json.dumps(
-            _measure_single(args.single, args.rounds, args.brute,
-                            args.backend, profile_dir=args.profile_rounds)
+            _measure_single(args.single, args.rounds, args.backend,
+                            profile_dir=args.profile_rounds)
         ))
         return 0
 
@@ -234,7 +220,7 @@ def main(argv=None) -> int:
     for n in args.nodes:
         for backend in backends:
             r = _measure_subprocess(
-                n, args.rounds, brute=False, backend=backend,
+                n, args.rounds, backend=backend,
                 profile_dir=(args.profile_rounds
                              if backend == "vector" else None),
             )
@@ -245,13 +231,6 @@ def main(argv=None) -> int:
             print(f"{backend:>7} {n:>6} {r['seconds']:>8.3f}s "
                   f"{_event_columns(r)} "
                   f"{r['peak_rss_kb'] / 1024:>7.1f} {base_s:>9} {speed:>8}")
-        if args.with_brute:
-            b = _measure_subprocess(n, args.rounds, brute=True,
-                                    backend="event")
-            print(f"{'event':>7} {n:>6} {b['seconds']:>8.3f}s "
-                  f"{_event_columns(b)} "
-                  f"{b['peak_rss_kb'] / 1024:>7.1f} "
-                  f"{'(brute/no-pool)':>18}")
 
     if args.require_speedup is not None:
         # With both backends the gate applies to the vector rows — that

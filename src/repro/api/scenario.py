@@ -84,7 +84,14 @@ class Scenario:
             raise ExperimentError(
                 f"unknown config section {section!r}; have {_SECTIONS}"
             )
-        sub = dataclasses.replace(getattr(self.config, section), **changes)
+        current = getattr(self.config, section)
+        fields = tuple(f.name for f in dataclasses.fields(current))
+        for name in changes:
+            if name not in fields:
+                raise ExperimentError(
+                    f"unknown {section} field {name!r}; have {fields}"
+                )
+        sub = dataclasses.replace(current, **changes)
         return dataclasses.replace(
             self, config=self.config.with_(**{section: sub})
         )

@@ -18,6 +18,10 @@ Edge case the formula leaves open: a round can elect zero heads.  The
 standard fix, used here, is to fall back to one uniformly-chosen eligible
 node so the network never idles a whole round (pinned by
 ``tests/test_cluster.py::TestLeachElection::test_at_least_one_head_always``).
+
+Membership: every other alive node joins its nearest head.  One
+:meth:`repro.topology.GridIndex.nearest_many` call answers the whole
+round, the same search the vector engine makes, at every head count.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ import numpy as np
 
 from ..config import LeachConfig
 from ..errors import ClusterError
+from ..topology import GridIndex
+from .topology import Topology
 
 __all__ = ["LeachElection", "ClusterAssignment"]
 
@@ -101,19 +107,24 @@ class LeachElection:
         self,
         round_index: int,
         alive: Sequence[int],
-        nearest,
+        topology: Topology,
     ) -> ClusterAssignment:
         """Elect heads and attach every sensor to its nearest head.
 
-        ``nearest(node, heads)`` resolves the strongest-signal head (see
-        :meth:`repro.cluster.topology.Topology.nearest`).
+        One :meth:`~repro.topology.GridIndex.nearest_many` call over the
+        head positions answers the whole round.  With a distance-monotone
+        path loss the nearest head is also the strongest-signal one,
+        which is how LEACH sensors pick their cluster; equal distances go
+        to the head elected first.
         """
         heads = self.elect(round_index, alive)
         membership: Dict[int, int] = {h: h for h in heads}
-        for node in alive:
-            if node in membership:
-                continue
-            membership[node] = nearest(node, heads)
+        members = [n for n in alive if n not in membership]
+        pos = topology.positions
+        index = GridIndex(pos[heads], topology.field_size_m)
+        picks, _ = index.nearest_many(pos[members])
+        for node, pick in zip(members, picks.tolist()):
+            membership[node] = heads[pick]
         return ClusterAssignment(round_index, tuple(heads), membership)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

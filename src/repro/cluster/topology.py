@@ -10,7 +10,7 @@ for tests and worked examples.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -18,29 +18,17 @@ from ..errors import ClusterError
 
 __all__ = ["Topology"]
 
-#: Above this node count the O(N^2) pairwise matrix is skipped and
-#: distances are evaluated lazily per query — ~200 MB at 5000 nodes is
-#: most of the 1-CPU container's budget, and the lazy path computes the
-#: identical IEEE doubles (same subtract/square/sum/sqrt sequence).
-MATRIX_MAX_NODES = 600
-
 
 class Topology:
     """Static node positions in a square field, with distance queries.
 
-    ``precompute_matrix`` controls the pairwise-distance storage: ``True``
-    builds the full N x N matrix up front (fast queries, O(N^2) memory),
-    ``False`` computes rows on demand, and ``None`` (default) picks by
-    node count (:data:`MATRIX_MAX_NODES`).  Both modes return bit-identical
-    distances, so the choice is purely a memory/speed trade.
+    Distances are computed on demand as ``sqrt(dx*dx + dy*dy)``, the
+    arithmetic :class:`repro.topology.GridIndex` uses for nearest-head
+    searches, so a pairwise matrix is never built (at 5000 nodes it
+    would take ~200 MB).
     """
 
-    def __init__(
-        self,
-        positions: np.ndarray,
-        field_size_m: float,
-        precompute_matrix: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, positions: np.ndarray, field_size_m: float) -> None:
         positions = np.asarray(positions, dtype=float)
         if positions.ndim != 2 or positions.shape[1] != 2:
             raise ClusterError("positions must be an (n, 2) array")
@@ -52,13 +40,6 @@ class Topology:
             raise ClusterError("positions must lie inside the field")
         self.positions = positions
         self.field_size_m = float(field_size_m)
-        if precompute_matrix is None:
-            precompute_matrix = positions.shape[0] <= MATRIX_MAX_NODES
-        self._dist: Optional[np.ndarray] = None
-        if precompute_matrix:
-            # Pairwise distances, vectorised once.
-            diff = positions[:, None, :] - positions[None, :, :]
-            self._dist = np.sqrt((diff ** 2).sum(axis=2))
         # Data sink (uplink tier); unset until place_sink() is called.
         self._sink_pos: Tuple[float, float] | None = None
         self._sink_dist: np.ndarray | None = None
@@ -96,8 +77,6 @@ class Topology:
 
     def distance(self, a: int, b: int) -> float:
         """Euclidean distance between nodes ``a`` and ``b``."""
-        if self._dist is not None:
-            return float(self._dist[a, b])
         pos = self.positions
         dx = pos[a, 0] - pos[b, 0]
         dy = pos[a, 1] - pos[b, 1]
@@ -105,27 +84,8 @@ class Topology:
 
     def distances_from(self, node: int) -> np.ndarray:
         """Vector of distances from ``node`` to every node."""
-        if self._dist is not None:
-            return self._dist[node]
         diff = self.positions - self.positions[node]
         return np.sqrt((diff ** 2).sum(axis=1))
-
-    def nearest(self, node: int, candidates: Sequence[int]) -> int:
-        """The candidate closest to ``node`` (ties broken by lower id).
-
-        With a distance-monotone path-loss model this is also the
-        strongest-received-power cluster head, which is how LEACH sensors
-        pick their cluster.
-        """
-        if len(candidates) == 0:
-            raise ClusterError("no candidates")
-        cand = np.asarray(candidates, dtype=int)
-        if self._dist is not None:
-            row = self._dist[node, cand]
-        else:
-            diff = self.positions[cand] - self.positions[node]
-            row = np.sqrt((diff ** 2).sum(axis=1))
-        return int(cand[int(np.argmin(row))])
 
     # -- sink placement (uplink/routing tier) -----------------------------------
 

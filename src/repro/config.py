@@ -524,16 +524,14 @@ class DynamicsConfig:
 
 @dataclass(frozen=True)
 class ScaleConfig:
-    """Scale-tier machinery knobs (all output-neutral).
+    """Which engine runs a config, and how much delay detail it keeps.
 
-    The spatial grid index and the link/MAC reuse pools make 1000+ node
-    runs practical; both are **bit-identical** to the brute-force /
-    fresh-allocation paths they replace (pinned by the equivalence tests
-    in ``tests/test_topology_index.py`` and ``tests/test_scale.py``), so
-    they default *on* at every network size.  The toggles exist for the
-    equivalence tests themselves and for attributing speedups in
-    ``benchmarks/bench_scale.py`` — disabling them changes wall clock and
-    memory, never a single output byte.
+    ``backend`` picks the engine; ``max_delay_samples`` bounds the
+    per-delivery sample lists.  Both change what a run records, so both
+    are part of the config digest.  The machinery that keeps 1000+ node
+    event runs practical (the nearest-head grid, link and head-stack
+    recycling, lazy distances) has no switch: it is the one round path
+    and changes no output byte.
     """
 
     #: Simulation engine: "event" (the per-node discrete-event kernel,
@@ -541,8 +539,7 @@ class ScaleConfig:
     #: population engine in :mod:`repro.vector` for N = 10⁴–10⁵ fields),
     #: or "auto" (vector for large populations, event otherwise — see
     #: :func:`repro.vector.resolve_backend`; the vector engine covers
-    #: every channel model, including Jakes and Rician K>0, so the
-    #: refuse list consulted by auto is currently empty).
+    #: every channel model, including Jakes and Rician K>0).
     #: The vector engine reuses the event kernel's topology, election and
     #: dynamics streams — so placements, head sets and churn timelines
     #: match exactly — while the per-packet channel/MAC micro-behaviour is
@@ -553,24 +550,12 @@ class ScaleConfig:
     #: default digests stay byte-identical across releases and an auto
     #: config digests exactly like the equivalent explicit one.
     backend: str = "event"
-    #: Nearest-head resolution: "grid" (spatial index) or "brute"
-    #: (the original full scan).
-    spatial_index: str = "grid"
-    #: Head sets smaller than this always use the brute scan (the index
-    #: cannot win below it).
-    grid_min_heads: int = 8
-    #: Recycle member->head ``Link`` objects (and their block-normal
-    #: caches) across rounds instead of reallocating.
-    link_pool: bool = True
-    #: Recycle each node's head-role stack (data channel, tone
-    #: broadcaster, head MAC) across its head terms.
-    reuse_head_stack: bool = True
     #: Memory bound on the per-delivery delay/hop sample lists: ``None``
     #: keeps the exact unbounded lists (every release so far); an integer
     #: switches :class:`repro.network.stats.NetworkStats` to a seeded
     #: reservoir sample of that size (delay *means* stay exact; the
-    #: percentiles become estimates).  The one scale knob that is **not**
-    #: output-neutral — set it only on runs too big for exact lists.
+    #: percentiles become estimates).  Not output-neutral — set it only
+    #: on runs too big for exact lists.
     max_delay_samples: int | None = None
 
     def __post_init__(self) -> None:
@@ -578,16 +563,22 @@ class ScaleConfig:
             self.backend in ("event", "vector", "auto"),
             f"unknown backend {self.backend!r}",
         )
-        _require(
-            self.spatial_index in ("grid", "brute"),
-            f"unknown spatial index {self.spatial_index!r}",
-        )
-        _require(self.grid_min_heads >= 1, "grid_min_heads must be >= 1")
         if self.max_delay_samples is not None:
             _require(
                 self.max_delay_samples >= 1,
                 "max_delay_samples must be >= 1",
             )
+
+
+#: Scale knobs that once chose between output-neutral event-kernel paths,
+#: at the one value every run now takes.  :meth:`NetworkConfig.digest`
+#: still hashes them, so every stored row keeps pairing with its cell.
+_RETIRED_SCALE_DIGEST_KEYS = {
+    "spatial_index": "grid",
+    "grid_min_heads": 8,
+    "link_pool": True,
+    "reuse_head_stack": True,
+}
 
 
 @dataclass(frozen=True)
@@ -694,7 +685,10 @@ class NetworkConfig:
         experiment layer to pair stored runs back to scenario grid cells:
         two configs differing anywhere (a churn rate, a sink offset, a
         scale knob) digest differently, so a stale or reordered store can
-        never silently fill the wrong cell.
+        never silently fill the wrong cell.  The payload is
+        :meth:`to_dict` plus the retired scale knobs at their one value
+        (:data:`_RETIRED_SCALE_DIGEST_KEYS`), so digests match those of
+        releases that still had the knobs.
 
         Computed once per instance: the config is frozen, and the cached
         value lives outside the dataclass fields, so ``==``, ``hash``,
@@ -706,7 +700,9 @@ class NetworkConfig:
         import hashlib
         import json
 
-        payload = json.dumps(self.to_dict(), sort_keys=True)
+        data = self.to_dict()
+        data["scale"].update(_RETIRED_SCALE_DIGEST_KEYS)
+        payload = json.dumps(data, sort_keys=True)
         digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
         object.__setattr__(self, "_digest", digest)
         return digest

@@ -32,7 +32,9 @@ With no ``board`` argument the executor **self-hosts**: it starts a
 :class:`~repro.exec.coordinator.CoordinatorServer` on ``spec.bind`` and
 optionally spawns ``spec.local_workers`` worker subprocesses — which is
 how ``repro-caem run --executor distributed:local=2`` works with no
-other process involved.
+other process involved.  Each holds the read end of a pipe whose write
+end only this process has, so the workers exit when the coordinator
+closes the pipe or dies (see :func:`~repro.exec.worker.serve_coordinator`).
 """
 
 from __future__ import annotations
@@ -95,12 +97,13 @@ class DistributedExecutor(CampaignExecutor):
         )
         return subprocess.Popen(
             [
-                sys.executable, "-m", "repro", "worker",
-                "--connect", self.url,
-                "--id", f"local-{index}",
-                "--idle-exit", "60",
+                sys.executable, "-c",
+                "import sys; from repro.exec.worker import serve_coordinator;"
+                " serve_coordinator(*sys.argv[1:])",
+                self.url, f"local-{index}",
             ],
             env=env,
+            stdin=subprocess.PIPE,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
         )
@@ -123,8 +126,7 @@ class DistributedExecutor(CampaignExecutor):
 
     def close(self) -> None:
         for proc in self._local_procs:
-            if proc.poll() is None:
-                proc.terminate()
+            proc.stdin.close()  # EOF: the worker exits
         for proc in self._local_procs:
             try:
                 proc.wait(timeout=5)

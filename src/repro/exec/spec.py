@@ -111,9 +111,10 @@ class ExecutorSpec:
     #: Distributed: a lease not heartbeat-renewed within this window
     #: expires and its cell returns to pending.
     lease_timeout_s: float = 30.0
-    #: Distributed: loopback ``repro-caem worker`` subprocesses the
-    #: executor spawns (and reaps) itself — handy for single-command
-    #: multi-core runs and CI smoke tests.
+    #: Distributed: loopback worker subprocesses (the ``repro-caem
+    #: worker`` loop) the executor spawns and reaps itself, and which exit
+    #: with it — handy for single-command multi-core runs and CI smoke
+    #: tests.
     local_workers: int = 0
 
     def __post_init__(self) -> None:

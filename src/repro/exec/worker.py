@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import os
 import socket
+import sys
 import threading
 import time
 import urllib.error
@@ -31,7 +32,7 @@ from typing import Any, Dict, Optional
 from .local import run_attempt
 from .wire import scenario_from_wire
 
-__all__ = ["run_worker", "WorkerStats"]
+__all__ = ["run_worker", "serve_coordinator", "WorkerStats"]
 
 
 class WorkerStats:
@@ -154,3 +155,22 @@ def run_worker(
             # be retried elsewhere. Deterministic, so no harm done.
             say("failed to deliver result — lease will expire")
     return stats
+
+
+def serve_coordinator(connect: str, worker_id: str) -> None:
+    """Serve the coordinator that spawned this process, while it lives.
+
+    A self-hosting :class:`~repro.exec.distributed.DistributedExecutor`
+    holds the write end of this process's stdin and never writes to it.
+    EOF there means the coordinator closed it or died (SIGKILL included),
+    and the worker exits at once rather than retrying a dead URL: it
+    keeps no state, and a cell in flight has nobody left to take its
+    result.
+    """
+
+    def watch() -> None:
+        sys.stdin.buffer.read()
+        os._exit(0)
+
+    threading.Thread(target=watch, daemon=True).start()
+    run_worker(connect, worker_id=worker_id, idle_exit_s=60.0)

@@ -52,7 +52,6 @@ from ..phy import AbicmTable
 from ..rng import RngRegistry
 from ..routing import Sink, UplinkRelay, plan_routes
 from ..sim import Simulator, Tracer
-from ..topology import GridNearest
 from ..traffic.packet import Packet
 from .node import NodeRole, SensorNode
 from .stats import NetworkStats
@@ -98,13 +97,6 @@ class SensorNetwork:
                 cfg.n_nodes, cfg.field_size_m, self.rngs.stream("topology")
             )
         self.election = LeachElection(cfg.leach, self.rngs.stream("leach"))
-        # Nearest-head resolution: the spatial grid index answers exactly
-        # what the brute scan answers (ties included) but in ~O(1) per
-        # sensor, which is what keeps 1000+ node rounds affordable.
-        if cfg.scale.spatial_index == "grid":
-            self._nearest = GridNearest(self.topology, cfg.scale.grid_min_heads)
-        else:
-            self._nearest = self.topology.nearest
 
         # Uplink tier (None while routing.mode == "local").
         self.sink: Optional[Sink] = None
@@ -174,10 +166,10 @@ class SensorNetwork:
             )
 
         self.round_index = 0
-        #: Scale-tier link pools (see ScaleConfig.link_pool): a member's
-        #: Link (and its block-normal cache) is recycled across rounds via
-        #: Link.rebind instead of reallocated — bit-identical because each
-        #: round's dedicated stream is rebound into the recycled cache.
+        #: Link pools: a member's Link (and its block-normal cache) is
+        #: recycled across rounds via Link.rebind instead of reallocated —
+        #: bit-identical because each round's dedicated stream is rebound
+        #: into the recycled cache.
         #: Keyed by member id (cluster tier) / head id (uplink tier).
         self._link_pool: Dict[int, Link] = {}
         self._uplink_link_pool: Dict[int, Link] = {}
@@ -257,11 +249,8 @@ class SensorNetwork:
 
     def _form_clusters(self, alive: List[SensorNode]) -> None:
         alive_ids = [n.id for n in alive]
-        if isinstance(self._nearest, GridNearest):
-            # New round, new head set: drop the cached per-round index.
-            self._nearest.invalidate()
         assignment = self.election.form_clusters(
-            self.round_index, alive_ids, self._nearest
+            self.round_index, alive_ids, self.topology
         )
         if self.tracer is not None:
             self.tracer.annotate(
@@ -281,13 +270,12 @@ class SensorNetwork:
                 on_lost=self.stats.on_lost,
             )
             self._members_of[head_id] = []
-        pool = self._link_pool if self.cfg.scale.link_pool else None
         for node in alive:
             head_id = assignment.membership[node.id]
             if head_id == node.id:
                 continue
             link = self._lease_link(
-                pool,
+                self._link_pool,
                 node.id,
                 self.topology.distance(node.id, head_id),
                 self.budget,
@@ -299,26 +287,26 @@ class SensorNetwork:
 
     def _lease_link(
         self,
-        pool: Optional[Dict[int, Link]],
+        pool: Dict[int, Link],
         key: int,
         distance: float,
         budget,
         stream_name: str,
         name: str,
     ) -> Link:
-        """One round's Link for an endpoint pair: pooled rebind or fresh.
+        """One round's Link for an endpoint pair: the pooled one, rebound.
 
         Shared by the cluster and uplink tiers so the leasing policy —
         uncached per-round stream derivation (the registry stays bounded
-        at scale), pool recycle via :meth:`Link.rebind`, and regime-offset
-        application for links born under a shifted regime — lives in one
-        place.
+        at scale), pool recycle via :meth:`Link.rebind` (a key's first
+        lease allocates), and regime-offset application for links born
+        under a shifted regime — lives in one place.
         """
         stream = self.rngs.derive(stream_name)
-        link = pool.get(key) if pool is not None else None
+        link = pool.get(key)
         now = self.sim.now
         if link is None:
-            link = Link(
+            link = pool[key] = Link(
                 distance,
                 budget,
                 self.cfg.channel,
@@ -326,8 +314,6 @@ class SensorNetwork:
                 name=name,
                 start_time_s=now,
             )
-            if pool is not None:
-                pool[key] = link
         else:
             link.rebind(distance, budget, stream, name, now)
         if self._regime_offset_db != 0.0:
@@ -352,7 +338,6 @@ class SensorNetwork:
                 self.stats,
                 tracer=self.tracer,
             )
-        pool = self._uplink_link_pool if self.cfg.scale.link_pool else None
         for head_id in heads:
             next_id = routes[head_id]
             if next_id is None:
@@ -362,7 +347,7 @@ class SensorNetwork:
                 distance = self.topology.distance(head_id, next_id)
                 far_end = str(next_id)
             link = self._lease_link(
-                pool,
+                self._uplink_link_pool,
                 head_id,
                 distance,
                 self.uplink_budget,

@@ -122,11 +122,10 @@ class SensorNode:
             rng,
             tracer,
         )
-        # Head-role machinery (built lazily per round).  With
-        # ``cfg.scale.reuse_head_stack`` the channel/broadcaster/MAC trio
-        # survives between this node's head terms and is reset instead of
-        # reallocated (construction draws nothing, so reuse is
-        # bit-identical — see CaemClusterHeadMac.reset).
+        # Head-role machinery, built at this node's first head term.  The
+        # channel/broadcaster/MAC trio survives between head terms and is
+        # reset instead of reallocated (construction draws nothing, so
+        # reuse is bit-identical — see CaemClusterHeadMac.reset).
         self.head_mac: Optional[CaemClusterHeadMac] = None
         self._head_stack: Optional[tuple] = None
         self.alive = True
@@ -190,8 +189,7 @@ class SensorNode:
                 on_delivered=on_delivered,
                 on_lost=on_lost,
             )
-            if self.cfg.scale.reuse_head_stack:
-                self._head_stack = (channel, broadcaster, self.head_mac)
+            self._head_stack = (channel, broadcaster, self.head_mac)
         self.head_mac.start()
         # Whatever the node had queued is aggregated at zero radio cost
         # (the head reaches itself for free); the network routes it on.

@@ -4,8 +4,7 @@ The index buckets candidate points into square cells of roughly one
 candidate each and answers a whole batch of nearest-neighbour queries by
 expanding ring search in numpy.  Two properties make it a drop-in
 replacement for the brute-force distance row (``np.argmin`` over
-``sqrt((diff**2).sum())``, as :meth:`repro.cluster.topology.Topology.nearest`
-and the vector engine's membership assignment define it):
+``sqrt((diff**2).sum())``, the nearest-head rule of LEACH membership):
 
 * **identical arithmetic** — candidate distances are evaluated as
   ``sqrt(dx*dx + dy*dy)`` in double precision, the exact float sequence
@@ -28,13 +27,13 @@ query's cost grows with its ring distance from the candidates.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ClusterError
 
-__all__ = ["GridIndex", "GridNearest"]
+__all__ = ["GridIndex"]
 
 
 class GridIndex:
@@ -182,48 +181,3 @@ def _ring_offsets(r: int) -> Sequence[Tuple[int, int]]:
         + [(ox, oy) for ox in (-r, r) for oy in side]
     )
 
-
-class GridNearest:
-    """Per-round ``nearest(node, candidates)`` adapter over :class:`GridIndex`.
-
-    The LEACH election resolves every sensor's nearest head through one
-    callable; the first time a round queries it, this adapter builds a
-    :class:`GridIndex` over the head set and answers every node's query
-    with one :meth:`GridIndex.nearest_many` call, then serves the round
-    from that array.  Head sets smaller than ``min_candidates`` fall back
-    to the brute-force scan, where the index cannot win.
-
-    **Caller contract.**  Within one round every query must pass the
-    *same candidate sequence object*, unmutated — that object's identity
-    is the cache key (``LeachElection.form_clusters`` passes its one
-    ``heads`` list for the whole round, which is exactly this shape).
-    The network additionally calls :meth:`invalidate` at each round
-    boundary, so a stale index can never leak across rounds even if a
-    future caller recycles a list object.
-    """
-
-    __slots__ = ("topology", "min_candidates", "_cand", "_index", "_picks")
-
-    def __init__(self, topology, min_candidates: int = 8) -> None:
-        self.topology = topology
-        self.min_candidates = min_candidates
-        self._cand: Optional[Sequence[int]] = None
-        self._index: Optional[GridIndex] = None
-        self._picks: Sequence[int] = ()
-
-    def invalidate(self) -> None:
-        """Drop the cached index (call at every round boundary)."""
-        self._cand = None
-        self._index = None
-        self._picks = ()
-
-    def __call__(self, node: int, candidates: Sequence[int]) -> int:
-        if len(candidates) < self.min_candidates:
-            return self.topology.nearest(node, candidates)
-        if candidates is not self._cand:
-            self._cand = candidates
-            cand = np.asarray(candidates, dtype=np.int64)
-            pos = self.topology.positions
-            self._index = GridIndex(pos[cand], self.topology.field_size_m)
-            self._picks = cand[self._index.nearest_many(pos)[0]].tolist()
-        return self._picks[node]

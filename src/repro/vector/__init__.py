@@ -25,8 +25,7 @@ is enforced by :mod:`repro.vector.equivalence`:
   bit-for-bit.
 
 The engine covers the full channel envelope — exponential and
-Jakes-Doppler fading kernels, Rayleigh and Rician K>0 — so the refuse
-list (:func:`~repro.vector.support.vector_refusal`) is currently empty.
+Jakes-Doppler fading kernels, Rayleigh and Rician K>0.
 
 Select it per run with ``cfg.with_scale(backend="vector")``; the default
 ``"event"`` leaves every existing output byte-identical.
@@ -41,10 +40,6 @@ resolving a backend (which digesting an ``"auto"`` config does) loads
 no engine.
 """
 
-from .support import AUTO_VECTOR_MIN_NODES, resolve_backend, vector_refusal
+from .support import AUTO_VECTOR_MIN_NODES, resolve_backend
 
-__all__ = [
-    "AUTO_VECTOR_MIN_NODES",
-    "resolve_backend",
-    "vector_refusal",
-]
+__all__ = ["AUTO_VECTOR_MIN_NODES", "resolve_backend"]

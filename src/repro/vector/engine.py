@@ -83,7 +83,6 @@ from ..routing import plan_routes
 from ..topology import GridIndex
 from .profile import attach as _attach_profiler
 from .state import ArStep, BatchReservoir, PerTables, SeriesRecorder
-from .support import vector_refusal
 
 __all__ = ["measure", "VectorNetwork"]
 
@@ -100,12 +99,6 @@ _MAC_JOIN_P = 0.75
 #: Barrier bookkeeping epsilon for merging pre-played dynamics events
 #: into the step agenda (barrier times themselves compare exactly).
 _EPS = 1e-12
-
-
-def _check_supported(cfg: NetworkConfig) -> None:
-    reason = vector_refusal(cfg)
-    if reason is not None:
-        raise ConfigError(reason)
 
 
 class _DynamicsReplay:
@@ -195,7 +188,6 @@ class VectorNetwork:
     """Structure-of-arrays population state plus the stepping loop."""
 
     def __init__(self, cfg: NetworkConfig, opts, tracer=None) -> None:
-        _check_supported(cfg)
         self.cfg = cfg
         self.opts = opts
         self.tracer = tracer
@@ -648,7 +640,8 @@ class VectorNetwork:
                     if self.bits_by_src is not None:
                         np.add.at(self.bits_by_src, srcs, self.bits)
         # Membership: each member's nearest head, bit-exact to the brute
-        # distance row (Topology.nearest's arithmetic and tie order).
+        # distance row (ties to the earliest-elected head) — the same
+        # search LeachElection.form_clusters makes for the event kernel.
         member_mask = np.zeros(self.n, dtype=bool)
         member_mask[alive_ids] = True
         member_mask[self.heads] = False

@@ -1,22 +1,16 @@
-"""Backend eligibility and selection — importable without numpy.
+"""Backend selection — importable without numpy.
 
 The vector engine covers the full channel envelope — exponential
 (Gauss-Markov) and Jakes-Doppler fading kernels, Rayleigh and Rician
-K>0 envelopes — so the refuse list (:func:`vector_refusal`) is
-currently empty.  The function remains the single source of truth for
-backend eligibility: any future config axis the engine cannot vectorise
-gets its reason added here, and both the engine's constructor guard and
-the ``"auto"`` resolver (:func:`resolve_backend`) pick it up without
-further plumbing.  Kept dependency-light so the config layer can
+K>0 envelopes — so ``"auto"`` (:func:`resolve_backend`) decides by
+population size alone.  Kept dependency-light so the config layer can
 consult it during serialisation without dragging in the numpy-heavy
 engine.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-__all__ = ["AUTO_VECTOR_MIN_NODES", "resolve_backend", "vector_refusal"]
+__all__ = ["AUTO_VECTOR_MIN_NODES", "resolve_backend"]
 
 #: Population size at which ``backend="auto"`` switches to the vector
 #: engine.  Below this the event kernel is fast enough that exact
@@ -25,38 +19,17 @@ __all__ = ["AUTO_VECTOR_MIN_NODES", "resolve_backend", "vector_refusal"]
 AUTO_VECTOR_MIN_NODES = 1000
 
 
-def vector_refusal(cfg) -> Optional[str]:
-    """Why ``cfg`` cannot run on the vector engine, or ``None`` if it can.
-
-    The refuse list mirrors the engine's support envelope.  Since the
-    Jakes kernel and Rician K>0 were vectorised (batched AR(1) Doppler
-    bridge and LOS/scatter mixing, held to the same equivalence bands as
-    the exponential-Rayleigh model by :mod:`repro.vector.equivalence`),
-    every channel configuration is supported and this returns ``None``
-    unconditionally.  It stays in the call path so a future unsupported
-    axis only needs a reason string here; return values must be
-    human-readable and suitable for a :class:`~repro.errors.ConfigError`
-    message.
-    """
-    del cfg  # every channel configuration is currently vectorised
-    return None
-
-
 def resolve_backend(cfg) -> str:
     """The concrete engine for ``cfg``: ``"event"`` or ``"vector"``.
 
     Explicit choices pass through; ``"auto"`` picks the vector engine
     exactly when the population is large enough to benefit
-    (:data:`AUTO_VECTOR_MIN_NODES`) *and* nothing on the refuse list
-    applies — with the refuse list empty, that means every channel
-    model (exponential/Jakes, Rayleigh/Rician) rides the vector engine
-    at population scale.  A pure function of the config, so
-    auto-selection is deterministic and safe to consult from
+    (:data:`AUTO_VECTOR_MIN_NODES`), whatever the channel model
+    (exponential/Jakes, Rayleigh/Rician).  A pure function of the
+    config, so auto-selection is deterministic and safe to consult from
     :meth:`~repro.config.NetworkConfig.to_dict`.
     """
     backend = cfg.scale.backend
     if backend != "auto":
         return backend
-    if cfg.n_nodes >= AUTO_VECTOR_MIN_NODES and vector_refusal(cfg) is None:
-        return "vector"
-    return "event"
+    return "vector" if cfg.n_nodes >= AUTO_VECTOR_MIN_NODES else "event"

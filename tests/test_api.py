@@ -228,6 +228,14 @@ class TestCampaign:
         with pytest.raises(ExperimentError):
             Campaign(_smoke()).over(warp_factor=[1, 2])
 
+    def test_misspelled_dotted_axis_rejected(self):
+        # A typo in the field after the dot names itself and the
+        # section's fields, instead of surfacing as a TypeError.
+        with pytest.raises(ExperimentError, match="unknown mac field") as info:
+            Campaign(_smoke()).over(**{"mac.max_retires": [1]})
+        assert "'max_retires'" in str(info.value)
+        assert "'max_retries'" in str(info.value)
+
     def test_empty_axis_rejected(self):
         with pytest.raises(ExperimentError):
             Campaign(_smoke()).over(load_pps=[])

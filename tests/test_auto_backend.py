@@ -1,9 +1,9 @@
 """``backend="auto"`` — engine selection as a pure function of config.
 
 Auto must (a) pick the vector engine only for populations large enough
-to benefit, (b) route *every* channel model there at scale now that the
-refuse list is empty (Jakes fading and Rician K > 0 are vectorised and
-equivalence-checked), and (c) resolve before digesting, so an auto
+to benefit, (b) route *every* channel model there at scale (Jakes
+fading and Rician K > 0 are vectorised and equivalence-checked by the
+``backend-parity`` CI matrix), and (c) resolve before digesting, so an auto
 config pairs/caches identically to its explicit equivalent — and runs
 stored before the envelope closed still re-render from their stores
 without re-simulation.
@@ -15,11 +15,7 @@ import pytest
 
 from repro.config import NetworkConfig, Protocol
 from repro.errors import ExperimentError
-from repro.vector import (
-    AUTO_VECTOR_MIN_NODES,
-    resolve_backend,
-    vector_refusal,
-)
+from repro.vector import AUTO_VECTOR_MIN_NODES, resolve_backend
 
 
 def _cfg(n_nodes, backend="auto", **channel):
@@ -54,24 +50,13 @@ class TestResolution:
         # the kernel no longer keeps a large population on the event
         # engine.
         for n in (AUTO_VECTOR_MIN_NODES, 100_000):
-            cfg = _cfg(n, fading_kernel="jakes")
-            assert vector_refusal(cfg) is None
-            assert resolve_backend(cfg) == "vector"
+            assert resolve_backend(_cfg(n, fading_kernel="jakes")) == "vector"
         assert resolve_backend(_cfg(100, fading_kernel="jakes")) == "event"
 
     def test_auto_selects_vector_for_rician_at_scale(self):
         for k in (0.5, 4.0, 10.0):
-            cfg = _cfg(100_000, rician_k=k)
-            assert vector_refusal(cfg) is None
-            assert resolve_backend(cfg) == "vector"
+            assert resolve_backend(_cfg(100_000, rician_k=k)) == "vector"
         assert resolve_backend(_cfg(100, rician_k=4.0)) == "event"
-
-    def test_refuse_list_is_empty(self):
-        # The whole channel envelope is supported; any future refusal
-        # reason re-enters through vector_refusal, not ad-hoc checks.
-        assert vector_refusal(_cfg(100)) is None
-        assert vector_refusal(_cfg(100, fading_kernel="jakes")) is None
-        assert vector_refusal(_cfg(100, rician_k=10.0)) is None
 
 
 class TestDigestTransparency:

@@ -35,16 +35,6 @@ class TestTopology:
         topo = Topology(np.array([[0.0, 0.0], [3.0, 4.0]]), 10.0)
         assert topo.distance(0, 1) == pytest.approx(5.0)
 
-    def test_nearest(self):
-        topo = Topology(np.array([[0.0, 0.0], [1.0, 0.0], [9.0, 9.0]]), 10.0)
-        assert topo.nearest(0, [1, 2]) == 1
-        assert topo.nearest(2, [0, 1]) == 1
-
-    def test_nearest_empty_candidates(self):
-        topo = Topology.grid(4, 10.0)
-        with pytest.raises(ClusterError):
-            topo.nearest(0, [])
-
     def test_invalid_positions(self):
         with pytest.raises(ClusterError):
             Topology(np.array([[0.0, 200.0]]), 100.0)
@@ -137,21 +127,21 @@ class TestClusterFormation:
         topo = Topology.uniform(30, 100.0, RngRegistry(6).stream("t"))
         e = LeachElection(LeachConfig(), RngRegistry(6).stream("e"))
         alive = list(range(30))
-        asg = e.form_clusters(0, alive, topo.nearest)
+        asg = e.form_clusters(0, alive, topo)
         assert set(asg.membership) == set(alive)
         assert all(h in asg.heads for h in set(asg.membership.values()))
 
     def test_heads_map_to_themselves(self):
         topo = Topology.uniform(30, 100.0, RngRegistry(8).stream("t"))
         e = LeachElection(LeachConfig(), RngRegistry(8).stream("e"))
-        asg = e.form_clusters(0, list(range(30)), topo.nearest)
+        asg = e.form_clusters(0, list(range(30)), topo)
         for h in asg.heads:
             assert asg.membership[h] == h
 
     def test_members_of(self):
         topo = Topology.grid(9, 30.0)
         e = LeachElection(LeachConfig(ch_fraction=0.34), RngRegistry(1).stream("e"))
-        asg = e.form_clusters(0, list(range(9)), topo.nearest)
+        asg = e.form_clusters(0, list(range(9)), topo)
         total = sum(len(asg.members_of(h)) for h in asg.heads) + len(asg.heads)
         assert total == 9
         assert asg.n_clusters == len(asg.heads)

@@ -203,3 +203,25 @@ class TestConvenienceAndRoundtrip:
         moved = dataclasses.replace(cfg, n_nodes=31)
         assert moved.digest() == NetworkConfig(n_nodes=31).digest() != digest
         assert pickle.loads(pickle.dumps(cfg)).digest() == digest
+
+    def test_digests_are_pinned(self):
+        # Every stored row pairs to its cell by this digest, so a config
+        # change that moves it orphans every store.  Pinned: the default
+        # config, an ext-scale vector cell (sparse backend key) and a
+        # bounded-delay config.
+        from repro.experiments.scale import scale_config
+
+        assert NetworkConfig().digest() == (
+            "412afb8d7e3c23d20d99a4a08de86384"
+            "5395961b5d78c8f6c0bf46856187be51"
+        )
+        vector = scale_config(1000, Protocol.CAEM_ADAPTIVE, backend="vector")
+        assert vector.digest() == (
+            "af92eae75c7d791d2d88701951c888ac"
+            "2e79d01fbc1b40d737e7186001a8554f"
+        )
+        bounded = NetworkConfig().with_scale(max_delay_samples=100)
+        assert bounded.digest() == (
+            "b3de56503ba3f60f7dcd43dd19c158c9"
+            "53bf90e560949cccbe3071da8269377d"
+        )

@@ -383,6 +383,55 @@ class TestChaosWorkerKill:
         assert stats["chaos-healthy"]["cells_done"] == 8
 
 
+#: A coordinator that self-hosts two local workers, prints their pids and
+#: waits to be killed.
+_SELF_HOSTED = """
+import time
+from repro.exec import get_executor
+
+executor = get_executor("distributed:local=2")
+executor._ensure_server()
+print(*(proc.pid for proc in executor._local_procs), flush=True)
+time.sleep(600)
+"""
+
+
+def _running(pid):
+    """True while ``pid`` runs (an exited, unreaped zombie counts as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
+class TestLocalWorkerLifetime:
+    """Local workers live exactly as long as their coordinator."""
+
+    def test_local_workers_exit_when_the_coordinator_is_killed(self):
+        coordinator = subprocess.Popen(
+            [sys.executable, "-c", _SELF_HOSTED],
+            env=dict(os.environ, PYTHONPATH=REPO_SRC),
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            pids = [int(pid) for pid in coordinator.stdout.readline().split()]
+            assert len(pids) == 2 and all(map(_running, pids))
+        finally:
+            coordinator.kill()
+            coordinator.wait(timeout=10)
+            coordinator.stdout.close()
+        try:
+            assert _wait_for(
+                lambda: not any(map(_running, pids)), timeout=5.0
+            ), "local workers outlived their SIGKILLed coordinator"
+        finally:
+            for pid in filter(_running, pids):
+                os.kill(pid, signal.SIGKILL)
+
+
 GRID_SPEC = {
     "axes": {"protocol": ["pure_leach", "scheme2"]},
     "preset": "smoke",

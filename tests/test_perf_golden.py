@@ -265,10 +265,10 @@ class TestScaleGate:
         spec.loader.exec_module(module)
 
         def run(argv, seconds):
-            def measure(n_nodes, rounds, brute, backend, profile_dir=None):
+            def measure(n_nodes, rounds, backend, profile_dir=None):
                 return {"nodes": n_nodes, "seconds": seconds, "rounds": rounds,
                         "events": 43443, "backend": backend,
-                        "peak_rss_kb": 64 * 1024, "brute": brute}
+                        "peak_rss_kb": 64 * 1024}
 
             monkeypatch.setattr(module, "_measure_subprocess", measure)
             code = module.main(argv)

@@ -3,12 +3,12 @@
 Three contracts are pinned here:
 
 * **byte-identity** — the link/MAC reuse pools and the spatial index
-  change zero output bytes: full ``RunResult`` equality with the scale
-  machinery on versus off, on the fig8-style static smoke scenario and
-  the ext-dynamics adversity smoke scenario (the golden-hash suite in
-  ``test_perf_golden.py`` pins the pool-on default against the committed
-  pre-optimization hashes, so together the two suites sandwich both
-  paths);
+  change zero output bytes: the fig8-style static smoke scenario, the
+  ext-dynamics adversity smoke scenario and a multihop uplink run are
+  pinned as sha256 fingerprints of the whole ``RunResult`` (the
+  ``tests/test_harvest.py`` recipe), the bytes the brute-force,
+  fresh-allocation path also produced; a rebound ``Link`` and cache
+  equal fresh ones draw for draw;
 * **bounded memory** — series decimation and the delay reservoir hold
   their caps, keep exact means, and stay deterministic;
 * **no stale callbacks** — round teardown leaves nothing of a recycled
@@ -17,6 +17,9 @@ Three contracts are pinned here:
   regression discipline).
 """
 
+import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -35,29 +38,26 @@ from repro.network.stats import NetworkStats
 from repro.rng import NormalBlockCache, RngRegistry
 from repro.sim import Simulator
 
-SCALE_OFF = dict(spatial_index="brute", link_pool=False, reuse_head_stack=False)
 
-
-def _result_dict(cfg, options):
-    out = simulate(cfg, options).to_dict()
-    out.pop("wall_time_s")
-    # Config metadata, not simulation output: the digest intentionally
-    # differs between the pool-on and pool-off *configs*.
-    out.pop("config_digest")
-    return out
+def _fingerprint(cfg, options):
+    data = simulate(cfg, options).to_dict()
+    data.pop("wall_time_s")
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
 
 
 class TestPoolByteIdentity:
-    """Pools + index on == off, to the last field, on the smoke goldens'
-    scenarios (fig8-style static run and the ext-dynamics adversity run)."""
+    """The pooled, grid-indexed round path to the last field, on the smoke
+    goldens' scenarios (fig8-style static run, the ext-dynamics adversity
+    run) and a multihop uplink run."""
 
     def test_fig8_smoke_scenario_identical(self):
         cfg = NetworkConfig(n_nodes=12, seed=1).with_traffic(
             packets_per_second=5.0
         )
         opts = RunOptions(horizon_s=30.0, sample_interval_s=1.0)
-        assert _result_dict(cfg, opts) == _result_dict(
-            cfg.with_scale(**SCALE_OFF), opts
+        assert _fingerprint(cfg, opts) == (
+            "92ffb15db4538fe93818393ea52e21d6"
+            "7144599bc30ee138638aaef3ff207356"
         )
 
     def test_ext_dynamics_smoke_scenario_identical(self):
@@ -72,15 +72,17 @@ class TestPoolByteIdentity:
         opts = RunOptions(
             horizon_s=40.0, sample_interval_s=1.0, stop_when_dead=True
         )
-        assert _result_dict(cfg, opts) == _result_dict(
-            cfg.with_scale(**SCALE_OFF), opts
+        assert _fingerprint(cfg, opts) == (
+            "b2b541dd6f372f0a4c10cc83e095d6b6"
+            "ebf2f5bfa66f3ef1d088dc424ad029d8"
         )
 
     def test_uplink_scenario_identical(self):
         cfg = NetworkConfig(n_nodes=12, seed=2).with_routing(mode="multihop")
         opts = RunOptions(horizon_s=30.0, sample_interval_s=1.0)
-        assert _result_dict(cfg, opts) == _result_dict(
-            cfg.with_scale(**SCALE_OFF), opts
+        assert _fingerprint(cfg, opts) == (
+            "44dc5cda7ba1085ffb07d11cf7428fd8"
+            "af513b364f9781140db6c606ba31bae6"
         )
 
     @pytest.mark.parametrize("channel_cfg", [
@@ -328,21 +330,22 @@ class TestTeardownAudit:
 class TestScaleConfig:
     def test_defaults_and_validation(self):
         cfg = ScaleConfig()
-        assert cfg.spatial_index == "grid"
-        assert cfg.link_pool and cfg.reuse_head_stack
+        # Two settable values: everything else on the round path is fixed.
+        assert [f.name for f in dataclasses.fields(cfg)] == [
+            "backend", "max_delay_samples"
+        ]
+        assert cfg.backend == "event"
         assert cfg.max_delay_samples is None
         with pytest.raises(ConfigError):
-            ScaleConfig(spatial_index="quadtree")
-        with pytest.raises(ConfigError):
-            ScaleConfig(grid_min_heads=0)
+            ScaleConfig(backend="quantum")
         with pytest.raises(ConfigError):
             ScaleConfig(max_delay_samples=0)
 
     def test_dict_round_trip(self):
-        cfg = NetworkConfig().with_scale(
-            spatial_index="brute", link_pool=False, max_delay_samples=100
-        )
-        again = NetworkConfig.from_dict(cfg.to_dict())
+        cfg = NetworkConfig().with_scale(backend="vector", max_delay_samples=100)
+        data = cfg.to_dict()
+        assert data["scale"] == {"backend": "vector", "max_delay_samples": 100}
+        again = NetworkConfig.from_dict(data)
         assert again == cfg
         assert again.scale.max_delay_samples == 100
 

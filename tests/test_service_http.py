@@ -162,6 +162,15 @@ class TestEndpoints:
             assert "executor field" in json.loads(excinfo.value.read())["error"]
         assert _get_json(server, "/campaigns")["jobs"] == []
 
+    def test_misspelled_dotted_axis_is_a_400(self, server):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post_json(server, "/campaigns",
+                       {**GRID_SPEC, "axes": {"mac.max_retires": [1]}})
+        assert excinfo.value.code == 400
+        error = json.loads(excinfo.value.read())["error"]
+        assert "unknown mac field 'max_retires'" in error
+        assert _get_json(server, "/campaigns")["jobs"] == []
+
     def test_infinite_field_is_a_400(self, server):
         # json.loads reads Infinity and NaN: the spec must fail at submit,
         # not as a job whose cells die in the engine, never return (an

@@ -8,9 +8,9 @@ candidate sequence (``np.argmin`` first-occurrence semantics).  These
 property tests drive randomized topologies, duplicated, collinear and
 coincident positions, grid placements (systematic ties), candidates
 outside the queries' box and out-of-field query points at both
-implementations and require equality everywhere; they also pin the
-lazy (matrix-free) Topology distance path to the matrix bit-for-bit,
-and the vectorised multihop route planner to the original nested scan.
+implementations and require equality everywhere; they also pin
+Topology's on-demand distances to the pairwise matrix bit for bit, and
+the vectorised multihop route planner to the original nested scan.
 """
 
 import math
@@ -25,7 +25,7 @@ from repro.config import NetworkConfig
 from repro.errors import ClusterError
 from repro.network import SensorNetwork
 from repro.routing import plan_routes
-from repro.topology import GridIndex, GridNearest
+from repro.topology import GridIndex
 
 
 def _random_topology(rng, n=None, field=None):
@@ -34,17 +34,25 @@ def _random_topology(rng, n=None, field=None):
     return Topology(rng.uniform(0.0, field, size=(n, 2)), field)
 
 
+def _assert_topology_matches_brute(topo, cands):
+    """Every node's nearest candidate, grid against the brute row."""
+    pos = topo.positions
+    _assert_matches_brute(pos, pos[cands], topo.field_size_m)
+
+
 class TestGridNearestEquivalence:
+    """Whole topologies, as a LEACH round queries them: every node
+    against a head subset given in election (not id) order."""
+
     def test_matches_brute_force_on_random_topologies(self):
         rng = np.random.default_rng(1234)
         for _ in range(60):
             topo = _random_topology(rng)
             n = topo.n_nodes
             k = int(rng.integers(1, n + 1))
-            cands = list(rng.choice(n, size=k, replace=False))
-            adapter = GridNearest(topo, min_candidates=1)
-            for node in range(n):
-                assert adapter(node, cands) == topo.nearest(node, cands)
+            _assert_topology_matches_brute(
+                topo, rng.choice(n, size=k, replace=False)
+            )
 
     def test_ties_resolve_to_first_candidate_in_sequence(self):
         # A grid placement puts many nodes at identical distances; the
@@ -54,20 +62,15 @@ class TestGridNearestEquivalence:
         rng = np.random.default_rng(7)
         for _ in range(40):
             k = int(rng.integers(1, 37))
-            cands = list(rng.permutation(36)[:k])
-            adapter = GridNearest(topo, min_candidates=1)
-            for node in range(36):
-                assert adapter(node, cands) == topo.nearest(node, cands)
+            _assert_topology_matches_brute(topo, rng.permutation(36)[:k])
 
     def test_duplicate_positions_tie_exactly(self):
         # Nodes stacked on the same point: distances are bit-equal, so
         # candidate order is the only discriminator.
         pts = np.array([[10.0, 10.0]] * 5 + [[30.0, 30.0]] * 5)
         topo = Topology(pts, 50.0)
-        adapter = GridNearest(topo, min_candidates=1)
         for cands in ([3, 1, 8, 6], [8, 6, 3, 1], [4, 2], [9, 0]):
-            for node in range(10):
-                assert adapter(node, cands) == topo.nearest(node, cands)
+            _assert_topology_matches_brute(topo, cands)
 
     def test_query_point_outside_field(self):
         # Queries may lie far outside the indexed field.
@@ -82,26 +85,9 @@ class TestGridNearestEquivalence:
 
     def test_single_candidate(self):
         topo = _random_topology(np.random.default_rng(2), n=20)
-        adapter = GridNearest(topo, min_candidates=1)
-        for node in range(20):
-            assert adapter(node, [13]) == 13
-
-    def test_adapter_falls_back_below_min_candidates(self):
-        topo = _random_topology(np.random.default_rng(3), n=30)
-        adapter = GridNearest(topo, min_candidates=8)
-        assert adapter(0, [5, 9]) == topo.nearest(0, [5, 9])
-        assert adapter._index is None  # brute path taken, no index built
-
-    def test_adapter_reuses_index_for_same_candidate_object(self):
-        topo = _random_topology(np.random.default_rng(4), n=40)
-        adapter = GridNearest(topo, min_candidates=1)
-        cands = list(range(12))
-        adapter(0, cands)
-        built = adapter._index
-        adapter(1, cands)
-        assert adapter._index is built  # same round: same index
-        adapter(1, list(range(12)))  # new list object = new round
-        assert adapter._index is not built
+        index = GridIndex(topo.positions[[13]], topo.field_size_m)
+        picks, _ = index.nearest_many(topo.positions)
+        assert (picks == 0).all()
 
     def test_rejects_degenerate_inputs(self):
         with pytest.raises(ClusterError):
@@ -233,43 +219,25 @@ class TestNearestMany:
 
 
 class TestLazyTopologyEquivalence:
-    """Matrix-free distances must be bit-identical to the matrix."""
+    """On-demand distances must be bit-identical to the pairwise matrix
+    (``sqrt((diff ** 2).sum())`` over all pairs at once)."""
 
     def _pair(self, seed, n=80, field=120.0):
         rng = np.random.default_rng(seed)
         pos = rng.uniform(0.0, field, size=(n, 2))
-        return (
-            Topology(pos, field, precompute_matrix=True),
-            Topology(pos, field, precompute_matrix=False),
-        )
+        diff = pos[:, None, :] - pos[None, :, :]
+        return np.sqrt((diff ** 2).sum(axis=2)), Topology(pos, field)
 
     def test_distance_bitwise_equal(self):
         dense, lazy = self._pair(21)
-        assert lazy._dist is None and dense._dist is not None
         for a in range(0, 80, 7):
             for b in range(80):
-                assert dense.distance(a, b) == lazy.distance(a, b)
+                assert float(dense[a, b]) == lazy.distance(a, b)
 
     def test_distances_from_bitwise_equal(self):
         dense, lazy = self._pair(22)
         for node in range(0, 80, 11):
-            assert (dense.distances_from(node) == lazy.distances_from(node)).all()
-
-    def test_nearest_identical(self):
-        dense, lazy = self._pair(23)
-        rng = np.random.default_rng(5)
-        for _ in range(30):
-            cands = list(rng.choice(80, size=int(rng.integers(1, 20)),
-                                    replace=False))
-            for node in range(0, 80, 5):
-                assert dense.nearest(node, cands) == lazy.nearest(node, cands)
-
-    def test_auto_threshold(self):
-        rng = np.random.default_rng(6)
-        small = Topology(rng.uniform(0, 10, size=(50, 2)), 10.0)
-        assert small._dist is not None
-        big = Topology(rng.uniform(0, 10, size=(700, 2)), 10.0)
-        assert big._dist is None
+            assert (dense[node] == lazy.distances_from(node)).all()
 
 
 class TestPlanRoutesEquivalence:
@@ -312,17 +280,28 @@ class TestPlanRoutesEquivalence:
 
 class TestNetworkUsesGrid:
     def test_brute_and_grid_networks_form_identical_clusters(self):
+        # Every round of a running network joins each member to the head
+        # the brute distance row picks, and attaches it there.
         for seed in (1, 5):
-            cfg = NetworkConfig(n_nodes=60, seed=seed)
-            grid_net = SensorNetwork(cfg)
-            brute_net = SensorNetwork(
-                cfg.with_scale(spatial_index="brute",
-                               grid_min_heads=1)
-            )
-            grid_net.run_until(25.0)
-            brute_net.run_until(25.0)
-            assert isinstance(grid_net._nearest, GridNearest)
-            assert [sorted(m.id for m in grid_net._members_of[h])
-                    for h in sorted(grid_net._members_of)] == \
-                   [sorted(m.id for m in brute_net._members_of[h])
-                    for h in sorted(brute_net._members_of)]
+            net = SensorNetwork(NetworkConfig(n_nodes=60, seed=seed))
+            rounds = []
+            form_clusters = net.election.form_clusters
+
+            def recording(*args):
+                rounds.append(form_clusters(*args))
+                return rounds[-1]
+
+            net.election.form_clusters = recording
+            net.run_until(25.0)
+            assert len(rounds) == 2
+            pos = net.topology.positions
+            for assignment in rounds:
+                heads = list(assignment.heads)
+                members = [n for n in assignment.membership if n not in heads]
+                ref_picks, _ = _brute(pos[members], pos[heads])
+                assert [assignment.membership[n] for n in members] == \
+                       [heads[i] for i in ref_picks]
+            last = rounds[-1]
+            assert {h: sorted(m.id for m in ms)
+                    for h, ms in net._members_of.items()} == \
+                   {h: sorted(last.members_of(h)) for h in last.heads}

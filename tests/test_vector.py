@@ -102,10 +102,9 @@ class TestBackendSelection:
         assert back.to_dict() == run.to_dict()
 
     def test_full_channel_envelope_accepted(self):
-        # The refuse list is empty: Jakes and Rician K>0 run on the
-        # vector engine directly (they used to raise ConfigError).
+        # Jakes and Rician K>0 run on the vector engine directly (they
+        # used to raise ConfigError).
         from repro.api import RunOptions, simulate
-        from repro.vector.support import vector_refusal
 
         base = NetworkConfig(n_nodes=10, seed=1).with_scale(backend="vector")
         jakes = dataclasses.replace(
@@ -118,7 +117,6 @@ class TestBackendSelection:
         )
         opts = RunOptions(horizon_s=1.0, sample_interval_s=0.5)
         for cfg in (jakes, rician):
-            assert vector_refusal(cfg) is None
             run = simulate(cfg, opts)
             assert run.n_nodes == 10
             assert run.generated > 0
