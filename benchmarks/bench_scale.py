@@ -14,6 +14,16 @@ a ladder of network sizes and records the scaling curve:
   kernel), ``vector`` (the structure-of-arrays population engine, see
   :mod:`repro.vector`), or ``both`` to render the two curves side by
   side;
+* each size also times perfbench's machine-speed reference
+  (``perfbench/calib.py``, settled) right before and right after its
+  timed rounds; ``ref_s`` is the median of the two, and the row's
+  ``calibrated_s = seconds * REFERENCE_S / ref_s`` is the time the run
+  would take on a machine where the reference takes ``REFERENCE_S``.
+  Both are printed, so a slow row shows whether the host or the code
+  was slow.  The gates judge raw wall time: on a 2-vCPU host, ten N=100
+  runs calibrated to 0.625-0.829 s, and twice the fastest (1.250 s)
+  would still pass the 0.64x gate below, which must fail a 2x slower
+  kernel;
 * committed baselines close the loop: event rows compare against
   ``benchmarks/BENCH_scale.json`` (the pre-PR-5 brute-force kernel) and
   vector rows compare against ``benchmarks/BENCH_vector.json`` (the
@@ -40,8 +50,10 @@ Everything runs serially — the reference container has one CPU.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -50,21 +62,34 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_scale.json"
 VECTOR_BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_vector.json"
+CALIB_PATH = REPO_ROOT / "perfbench" / "calib.py"
 
 DEFAULT_NODES = (100, 300, 1000)
 HORIZON_S = 40.0  # two full 20 s LEACH rounds (matches BENCH_scale.json)
 
 
+def _calib():
+    """perfbench's machine-speed reference, loaded by path (perfbench is a
+    directory of scripts, not a package)."""
+    spec = importlib.util.spec_from_file_location("calib", CALIB_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _measure_single(n_nodes: int, rounds: int, backend: str,
                     profile_dir: str = None) -> dict:
-    """One size, in-process: best-of-``rounds`` wall seconds + peak RSS."""
+    """One size, in-process: best-of-``rounds`` wall seconds + peak RSS,
+    and the settled reference time around the rounds (``ref_s``)."""
     from repro.config import Protocol
     from repro.experiments.scale import scale_config
 
+    calib = _calib()
     cfg = scale_config(
         n_nodes, Protocol.CAEM_ADAPTIVE, seed=1, backend=backend
     )
     best = float("inf")
+    refs = [calib.settled_reference()]
     # The vector engine processes no events (its events_processed counts
     # coherence steps), so its rows record none.
     events = None
@@ -96,9 +121,11 @@ def _measure_single(n_nodes: int, rounds: int, backend: str,
             events = net.sim.events_processed
             if elapsed < best:
                 best = elapsed
+    refs.append(calib.settled_reference())
     return {
         "nodes": n_nodes,
         "seconds": best,
+        "ref_s": statistics.median(refs),
         "rounds": rounds,
         "events": events,
         "backend": backend,
@@ -211,11 +238,14 @@ def main(argv=None) -> int:
         "event": _load_baseline(BASELINE_PATH),
         "vector": _load_baseline(VECTOR_BASELINE_PATH),
     }
+    reference_s = _calib().REFERENCE_S
     results = []
     print(f"scale benchmark: horizon {HORIZON_S:g} s, "
-          f"best-of-{args.rounds}, serial (1-CPU container)")
-    header = (f"{'backend':>7} {'nodes':>6} {'wall':>9} {'events':>9} "
-              f"{'kev/s':>7} {'rss MB':>7} {'baseline':>9} {'speedup':>8}")
+          f"best-of-{args.rounds}, serial (1-CPU container); "
+          f"calibrated = wall x {reference_s * 1e3:g} ms / ref")
+    header = (f"{'backend':>7} {'nodes':>6} {'wall':>9} {'ref':>8} "
+              f"{'calibrated':>10} {'events':>9} {'kev/s':>7} {'rss MB':>7} "
+              f"{'baseline':>9} {'speedup':>8}")
     print(header)
     for n in args.nodes:
         for backend in backends:
@@ -224,11 +254,13 @@ def main(argv=None) -> int:
                 profile_dir=(args.profile_rounds
                              if backend == "vector" else None),
             )
+            r["calibrated_s"] = r["seconds"] * reference_s / r["ref_s"]
             results.append(r)
             base = baselines[backend].get(n)
             base_s = f"{base['seconds']:.3f}s" if base else "—"
             speed = f"{base['seconds'] / r['seconds']:.2f}x" if base else "—"
             print(f"{backend:>7} {n:>6} {r['seconds']:>8.3f}s "
+                  f"{r['ref_s'] * 1e3:>6.1f}ms {r['calibrated_s']:>9.3f}s "
                   f"{_event_columns(r)} "
                   f"{r['peak_rss_kb'] / 1024:>7.1f} {base_s:>9} {speed:>8}")
 

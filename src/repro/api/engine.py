@@ -25,8 +25,6 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-import numpy as np
-
 from ..config import NetworkConfig
 from ..errors import ExperimentError
 from ..metrics.collectors import validate_max_samples
@@ -146,6 +144,8 @@ def derive(result: RunResult, totals: RunTotals, dead_fraction: float) -> None:
     if totals.delay_count:
         result.mean_delay_s = totals.delay_sum_s / totals.delay_count
     if len(totals.delay_samples):
+        import numpy as np
+
         p50, p90, p99 = np.percentile(totals.delay_samples, (50.0, 90.0, 99.0))
         result.delay_p50_s = float(p50)
         result.delay_p90_s = float(p90)

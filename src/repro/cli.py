@@ -388,6 +388,21 @@ def _profiled(body, args: argparse.Namespace) -> int:
     return code
 
 
+def _open_existing_store(path: str):
+    """Open a store the command only reads.
+
+    A missing path is an error, checked before opening: opening a
+    ``.sqlite``/``.db`` path creates an empty database there.
+    """
+    from pathlib import Path
+
+    from .service import open_store
+
+    if not Path(path).exists():
+        raise ExperimentError(f"no such result store: {Path(path)}")
+    return open_store(path)
+
+
 def _cmd_run_body(args: argparse.Namespace) -> int:
     from .service import RunCache, open_store
     from .service.db import require_series
@@ -395,18 +410,16 @@ def _cmd_run_body(args: argparse.Namespace) -> int:
     names = (
         _known_names() if args.experiment == "all" else [args.experiment]
     )
-    stored_runs = None
+    from_store = stored_runs = None
     if args.from_store:
-        from_store = open_store(args.from_store)
+        from_store = _open_existing_store(args.from_store)
         require_series(from_store, "--from")
-        if not from_store.path.exists():
-            raise ExperimentError(f"no such result store: {from_store.path}")
         stored_runs = from_store.load()
     store = open_store(args.store) if args.store else None
     if (
         store is not None
-        and args.from_store
-        and store.path.resolve() == open_store(args.from_store).path.resolve()
+        and from_store is not None
+        and store.path.resolve() == from_store.path.resolve()
     ):
         raise ExperimentError(
             f"refusing to append runs loaded from {store.path} back into "
@@ -483,12 +496,10 @@ def _cmd_query(args: argparse.Namespace) -> int:
     import json as json_mod
 
     from .experiments.report import render_table
-    from .service import open_store, parse_predicate, query_runs
+    from .service import parse_predicate, query_runs
     from .service.query import DEFAULT_COLUMNS
 
-    store = open_store(args.store)
-    if not store.path.exists():
-        raise ExperimentError(f"no such result store: {store.path}")
+    store = _open_existing_store(args.store)
     if args.agg is not None:
         return _query_aggregate(args, store)
     if args.group_by is not None:
@@ -603,9 +614,7 @@ def _cmd_gc(args: argparse.Namespace) -> int:
 def _cmd_migrate(args: argparse.Namespace) -> int:
     from .service import open_store
 
-    src = open_store(args.src)
-    if not src.path.exists():
-        raise ExperimentError(f"no such result store: {src.path}")
+    src = _open_existing_store(args.src)
     dst = open_store(args.dst)
     if src.path.resolve() == dst.path.resolve():
         raise ExperimentError("SRC and DST name the same file")

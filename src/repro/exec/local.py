@@ -13,7 +13,6 @@ both run a cell through it.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, List, Optional, Sequence, Tuple
 
 from .base import CampaignExecutor, CellFailure, ExecutionHooks
@@ -111,6 +110,8 @@ class PoolExecutor(CampaignExecutor):
         hooks = hooks or ExecutionHooks()
         if self.jobs <= 1 or len(scenarios) <= 1:
             return SerialExecutor().execute(scenarios, hooks)
+        from concurrent.futures import ProcessPoolExecutor
+
         from ..api.engine import import_engines
 
         # Forked workers inherit the engine instead of each importing it.

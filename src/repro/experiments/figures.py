@@ -27,15 +27,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..api import RunOptions, RunResult, Scenario, experiment, run_scenarios
 from ..api.pairing import describe_key, pair_stored_runs
 from ..config import Protocol
 from ..errors import ExperimentError
 from ..metrics.fairness import mean_snapshot_std
 from ..metrics.lifetime import network_lifetime_s
-from ..metrics.summary import mean_of
+from ..metrics.summary import float_sum, mean_of
 from .presets import Preset, get_preset
 from .report import render_table, write_csv
 
@@ -99,10 +97,21 @@ class FigureResult:
 
 
 def _mean_over_seeds(per_seed: List[List[float]]) -> List[float]:
-    """Average aligned series (truncated to the shortest)."""
+    """Average aligned series (truncated to the shortest).
+
+    Bit for bit ``np.asarray(...).mean(axis=0)`` over the seeds × samples
+    array: numpy adds each column in seed order, except a single column,
+    which it reduces as one contiguous vector (pairwise, see
+    :func:`~repro.metrics.summary.float_sum`).
+    """
     n = min(len(s) for s in per_seed)
-    arr = np.asarray([s[:n] for s in per_seed], dtype=float)
-    return [float(v) for v in arr.mean(axis=0)]
+    if n == 1:
+        return [float_sum(s[0] for s in per_seed) / len(per_seed)]
+    sums = [0.0] * n
+    for s in per_seed:
+        for i in range(n):
+            sums[i] += float(s[i])
+    return [total / len(per_seed) for total in sums]
 
 
 def _scenario(tier: Preset, proto: Protocol, load: float, seed: int,

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, List, Optional
 
-import numpy as np
-
 from ..errors import ExperimentError
 
 if TYPE_CHECKING:
@@ -114,10 +112,14 @@ class TimeSeriesCollector:
 
     def as_arrays(self):
         """(times, values) as numpy arrays (values must be scalar)."""
+        import numpy as np
+
         return np.asarray(self.times), np.asarray(self.values, dtype=float)
 
     def value_at(self, t: float) -> object:
         """Last sampled value at or before ``t``."""
+        import numpy as np
+
         times = np.asarray(self.times)
         idx = int(np.searchsorted(times, t, side="right")) - 1
         if idx < 0:

@@ -10,21 +10,26 @@ conventional alternative for the extended experiments.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
-
-import numpy as np
+import math
+from typing import Iterable, Sequence
 
 from ..errors import ExperimentError
+from .summary import float_sum
 
 __all__ = ["queue_length_std", "mean_snapshot_std", "jain_index"]
 
 
 def queue_length_std(queue_lengths: Sequence[float]) -> float:
-    """Population standard deviation of one queue-length snapshot."""
-    arr = np.asarray(queue_lengths, dtype=float)
-    if arr.size == 0:
+    """Population standard deviation of one queue-length snapshot.
+
+    Bit for bit ``np.std`` (see :func:`~repro.metrics.summary.float_sum`),
+    without importing numpy.
+    """
+    xs = [float(q) for q in queue_lengths]
+    if not xs:
         raise ExperimentError("empty queue snapshot")
-    return float(arr.std())
+    m = float_sum(xs) / len(xs)
+    return math.sqrt(float_sum([(x - m) * (x - m) for x in xs]) / len(xs))
 
 
 def mean_snapshot_std(snapshots: Iterable[Sequence[float]]) -> float:
@@ -33,18 +38,16 @@ def mean_snapshot_std(snapshots: Iterable[Sequence[float]]) -> float:
     "In our simulations, we have taken several snapshots of the value
     during the observed time, [and] average them."
     """
-    stds: List[float] = []
-    for snap in snapshots:
-        arr = np.asarray(snap, dtype=float)
-        if arr.size:
-            stds.append(float(arr.std()))
+    stds = [queue_length_std(snap) for snap in snapshots if len(snap)]
     if not stds:
         raise ExperimentError("no non-empty snapshots")
-    return float(np.mean(stds))
+    return float_sum(stds) / len(stds)
 
 
 def jain_index(shares: Sequence[float]) -> float:
     """Jain's fairness index (1 = perfectly fair, 1/n = maximally unfair)."""
+    import numpy as np
+
     arr = np.asarray(shares, dtype=float)
     if arr.size == 0:
         raise ExperimentError("empty share vector")

@@ -4,16 +4,14 @@ Internally the library uses SI base units everywhere: seconds, watts,
 joules, metres, hertz, bits.  Decibel quantities appear only at module
 boundaries (channel gains, SNR thresholds), through the helpers below.
 
-All helpers accept scalars or numpy arrays and return the same shape
-(`numpy` broadcasting rules); pure-scalar inputs return Python floats.
+Every helper takes a scalar and returns a Python float, using only
+:mod:`math`, so loading the configs (and with them every CLI call) costs
+no numpy import.
 """
 
 from __future__ import annotations
 
 import math
-from typing import overload
-
-import numpy as np
 
 __all__ = [
     "db_to_linear",
@@ -35,43 +33,17 @@ __all__ = [
 _LN10_OVER_10 = math.log(10.0) / 10.0
 
 
-def _wrap(value):
-    """Return a float for 0-d results, pass arrays through."""
-    if isinstance(value, np.ndarray) and value.ndim == 0:
-        return float(value)
-    if isinstance(value, (np.floating, np.integer)):
-        return float(value)
-    return value
-
-
-@overload
-def db_to_linear(db: float) -> float: ...
-@overload
-def db_to_linear(db: np.ndarray) -> np.ndarray: ...
-
-
-def db_to_linear(db):
+def db_to_linear(db: float) -> float:
     """Convert a decibel ratio to a linear power ratio (10^(dB/10))."""
-    if isinstance(db, np.ndarray):
-        return np.exp(db * _LN10_OVER_10)
     return math.exp(float(db) * _LN10_OVER_10)
 
 
-@overload
-def linear_to_db(x: float) -> float: ...
-@overload
-def linear_to_db(x: np.ndarray) -> np.ndarray: ...
-
-
-def linear_to_db(x):
+def linear_to_db(x: float) -> float:
     """Convert a linear power ratio to decibels (10·log10 x).
 
     Zero or negative inputs map to ``-inf`` rather than raising, matching
     the physical meaning (no power -> -inf dB).
     """
-    if isinstance(x, np.ndarray):
-        with np.errstate(divide="ignore"):
-            return 10.0 * np.log10(np.maximum(x, 0.0))
     x = float(x)
     if x <= 0.0:
         return float("-inf")
@@ -80,13 +52,12 @@ def linear_to_db(x):
 
 def dbm_to_watts(dbm: float) -> float:
     """Convert a power in dBm to watts."""
-    return _wrap(db_to_linear(dbm) * 1e-3)
+    return db_to_linear(dbm) * 1e-3
 
 
 def watts_to_dbm(watts: float) -> float:
     """Convert a power in watts to dBm; 0 W maps to ``-inf`` dBm."""
-    return _wrap(linear_to_db(watts / 1e-3) if not isinstance(watts, np.ndarray)
-                 else linear_to_db(watts / 1e-3))
+    return linear_to_db(watts / 1e-3)
 
 
 # -- small literal helpers so configs read like the paper -------------------

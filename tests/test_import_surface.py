@@ -1,14 +1,18 @@
-"""Import cost follows the work: no kernel where nothing simulates, and
-no scipy where nothing needs it.
+"""Import cost follows the work: no kernel and no numpy where nothing
+simulates, and no scipy where nothing needs it.
 
 A process that never simulates — CLI parsing, ``--cache`` hits, ``--from``
-re-renders, ``list``, ``query``, ``gc`` — must not import the event
-kernel (``repro.network``, ``repro.sim``, ``repro.mac``, ``repro.channel``,
-``repro.phy``) or scipy.  A process that does simulate imports the
-kernel but still no scipy: the PHY's Q function comes from the standard
+re-renders of every figure, extension and ``table2``, ``list``,
+``query``, ``gc``, ``migrate`` — must not import the event kernel
+(``repro.network``, ``repro.sim``, ``repro.mac``, ``repro.channel``,
+``repro.phy``), scipy or numpy: the statistics a render prints are
+computed in pure Python, in numpy's summation order, so they keep
+numpy's bytes.  A process that does simulate imports the kernel and
+numpy but still no scipy: the PHY's Q function comes from the standard
 library and both engines find nearest heads with one numpy grid.  Only
 Jakes fading (J₀) and t-intervals over more than one seed load scipy,
-each on first use.  Every check runs in a fresh interpreter, since this test
+each on first use.  ``table1`` builds MAC objects and stays outside the
+contract.  Every check runs in a fresh interpreter, since this test
 process has long since imported everything.
 """
 
@@ -24,6 +28,7 @@ REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 #: Module prefixes a process that does not simulate must not load.
 KERNEL = (
+    "numpy",
     "scipy",
     "repro.network",
     "repro.sim",
@@ -33,6 +38,12 @@ KERNEL = (
 )
 
 FIG11 = ("run", "fig11", "--preset", "smoke")
+
+#: Every experiment whose rows a store holds, re-rendered with ``--from``.
+RERENDERED = (
+    "fig8", "fig9", "fig10", "fig11", "fig12",
+    "ext-perf", "ext-uplink", "ext-dynamics", "ext-scale", "table2",
+)
 
 #: Runs the CLI, then dumps the loaded module names to the file in argv[1].
 _RECORDING_CLI = (
@@ -98,6 +109,16 @@ def cold(tmp_path_factory):
     return db, proc.stdout, modules
 
 
+@pytest.fixture(scope="module")
+def smoke_store(tmp_path_factory):
+    """A database holding the smoke runs of every registered experiment."""
+    workdir = tmp_path_factory.mktemp("all")
+    db = workdir / "all.sqlite"
+    _python("-m", "repro", "run", "all", "--preset", "smoke",
+            "--executor", "pool:2", "--store", str(db), cwd=workdir)
+    return db
+
+
 def test_import_cli_loads_no_kernel_or_scipy():
     assert _kernel_modules(_modules_after("import repro.cli")) == []
 
@@ -105,6 +126,7 @@ def test_import_cli_loads_no_kernel_or_scipy():
 def test_cold_simulating_pass_loads_no_scipy(cold):
     _, _, modules = cold
     assert "repro.network" in modules
+    assert "numpy" in modules
     assert _scipy_modules(modules) == []
 
 
@@ -191,6 +213,15 @@ def test_from_rerender_loads_no_kernel_and_matches_cold(cold, tmp_path):
     assert "repro.service.http" not in modules
 
 
+@pytest.mark.parametrize("experiment", RERENDERED)
+def test_every_rerender_loads_no_kernel(smoke_store, tmp_path, experiment):
+    proc, modules = _recorded_cli(
+        tmp_path, "run", experiment, "--preset", "smoke", "--from", str(smoke_store)
+    )
+    assert f"{experiment}:" in proc.stdout
+    assert _kernel_modules(modules) == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -198,8 +229,9 @@ def test_from_rerender_loads_no_kernel_and_matches_cold(cold, tmp_path):
         ("query", "{db}", "--experiment", "fig11", "--limit", "3"),
         ("query", "{db}", "--agg", "mean", "--group-by", "protocol"),
         ("gc", "{db}", "--dry-run"),
+        ("migrate", "{db}", "exported.jsonl"),
     ],
-    ids=["list", "query", "query-agg", "gc"],
+    ids=["list", "query", "query-agg", "gc", "migrate"],
 )
 def test_store_commands_load_no_kernel(cold, tmp_path, argv):
     db, _, _ = cold

@@ -248,6 +248,7 @@ class TestKernelSatellites:
 
 
 BENCH_SCALE = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_scale.py"
+CALIB = Path(__file__).resolve().parent.parent / "perfbench" / "calib.py"
 
 #: The gated rung exactly as the ``scale-smoke`` CI job runs it.
 GATE_ARGV = ["--nodes", "100", "--rounds", "3", "--require-speedup", "0.64"]
@@ -256,19 +257,27 @@ GATE_ARGV = ["--nodes", "100", "--rounds", "3", "--require-speedup", "0.64"]
 class TestScaleGate:
     """``bench_scale.py``'s gates decide on fixed rows: the subprocess
     that would time each size is stubbed, and N=100's baseline is the
-    committed 0.8037 s in ``BENCH_scale.json``."""
+    committed 0.8037 s in ``BENCH_scale.json``.  A row's reference time
+    defaults to ``REFERENCE_S``, where calibrated and wall time agree."""
+
+    @staticmethod
+    def _load(name, path):
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
 
     @pytest.fixture
     def gate(self, monkeypatch, capsys):
-        spec = importlib.util.spec_from_file_location("bench_scale", BENCH_SCALE)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
+        module = self._load("bench_scale", BENCH_SCALE)
+        reference_s = self._load("calib", CALIB).REFERENCE_S
 
-        def run(argv, seconds):
+        def run(argv, seconds, ref_factor=1.0):
             def measure(n_nodes, rounds, backend, profile_dir=None):
                 return {"nodes": n_nodes, "seconds": seconds, "rounds": rounds,
                         "events": 43443, "backend": backend,
-                        "peak_rss_kb": 64 * 1024}
+                        "peak_rss_kb": 64 * 1024,
+                        "ref_s": ref_factor * reference_s}
 
             monkeypatch.setattr(module, "_measure_subprocess", measure)
             code = module.main(argv)
@@ -301,3 +310,13 @@ class TestScaleGate:
         assert code == 0
         assert "0.68x (required 0.64x) -> OK" in out
         assert "wall-time gate at N=100: 1.18s (budget 2s) -> OK" in out
+
+    def test_rows_show_calibrated_time_and_gate_on_wall_time(self, gate):
+        # A host at half speed doubles both the wall and the reference
+        # time; the row calibrates back to 1.180 s, but the gate judges
+        # the 2.36 s of wall time (calibrated, twice the fastest N=100 run
+        # on a 2-vCPU host would pass 0.64x, so it cannot gate).
+        code, out = gate(GATE_ARGV, seconds=2 * 1.180, ref_factor=2.0)
+        assert "  2.360s   36.0ms     1.180s " in out
+        assert code == 1
+        assert "speedup gate [event] at N=100: 0.34x" in out

@@ -2,14 +2,16 @@
 
 import math
 
-from hypothesis import given
+import numpy as np
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.channel import GaussMarkovShadowing, RayleighFading
 from repro.config import MacConfig, PhyConfig
 from repro.energy import Battery
+from repro.experiments.figures import _mean_over_seeds
 from repro.mac import BackoffPolicy
-from repro.metrics import jain_index, network_lifetime_s, queue_length_std
+from repro.metrics import jain_index, mean_of, network_lifetime_s, queue_length_std
 from repro.phy import AbicmTable, BPSK, QAM16, QPSK
 from repro.policy import AdaptiveThresholdPolicy, ThresholdLadder
 from repro.config import PolicyConfig
@@ -253,3 +255,57 @@ class TestMetricProperties:
             # At lt, the dead fraction strictly exceeds frac.
             dead_at = sum(1 for d in observed if d <= lt)
             assert dead_at / n > frac
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _finite_lists(draw):
+    # Lengths drawn uniformly, so lists cross numpy's pairwise lengths
+    # (8, 128 and the 256 split) as often as short ones.
+    n = draw(st.integers(min_value=1, max_value=400))
+    return draw(st.lists(_FINITE, min_size=n, max_size=n))
+
+
+@st.composite
+def _seed_series(draw):
+    # seeds x samples; one sample per seed is numpy's pairwise case.
+    samples = draw(st.sampled_from([1, 1, 2, 3, 7]))
+    seeds = draw(st.integers(min_value=1, max_value=300 if samples == 1 else 40))
+    flat = draw(st.lists(_FINITE, min_size=seeds * samples,
+                         max_size=seeds * samples))
+    return [flat[i:i + samples] for i in range(0, len(flat), samples)]
+
+
+def _numpy(fn):
+    with np.errstate(all="ignore"):  # overflow to inf is part of the contract
+        return fn()
+
+
+class TestNumpyExactStatistics:
+    """The statistics a render computes without numpy equal numpy's bit for
+    bit (``repr`` tells ``-0.0`` from ``0.0`` and matches any nan), so a
+    re-rendered figure prints the bytes a numpy mean would."""
+
+    @given(_finite_lists())
+    @example([1e16] + [1.0] * 8)  # pairwise and in-order sums differ here
+    @example([-0.0] * 8)  # the reduction starts from +0.0
+    def test_mean_of_matches_numpy(self, xs):
+        expected = _numpy(lambda: float(np.asarray(xs, dtype=float).mean()))
+        assert repr(mean_of(xs)) == repr(expected)
+
+    @given(_finite_lists())
+    @example([1e16] + [1.0] * 8)
+    def test_population_std_matches_numpy(self, xs):
+        expected = _numpy(lambda: float(np.asarray(xs, dtype=float).std()))
+        assert repr(queue_length_std(xs)) == repr(expected)
+
+    @given(_seed_series())
+    @example([[1e16]] + [[1.0]] * 8)  # one column: numpy sums it pairwise
+    @example([[1e16, 1e16]] + [[1.0, 1.0]] * 8)  # columns: in seed order
+    def test_mean_over_seeds_matches_numpy(self, per_seed):
+        expected = _numpy(lambda: np.asarray(per_seed, dtype=float).mean(axis=0))
+        assert [repr(v) for v in _mean_over_seeds(per_seed)] == [
+            repr(float(v)) for v in expected
+        ]

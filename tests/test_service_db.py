@@ -52,6 +52,31 @@ class TestOpenStore:
             DbResultStore(tmp_path / "a.txt")
 
 
+class TestReadOnlyCommands:
+    """Commands that only read a store refuse a missing path instead of
+    creating an empty database there and reporting 0 rows."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("query", "typo/missing.db"),
+            ("migrate", "typo/missing.sqlite", "out.jsonl"),
+            ("run", "fig11", "--preset", "smoke", "--from", "missing.sqlite"),
+        ],
+        ids=["query", "migrate", "run-from"],
+    )
+    def test_missing_store_is_an_error_and_creates_nothing(
+        self, tmp_path, monkeypatch, capsys, argv
+    ):
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        assert main(list(argv)) == 1
+        missing = next(a for a in argv if "missing" in a)
+        assert f"error: no such result store: {missing}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestDbResultStore:
     def test_round_trip_full_fidelity(self, tmp_path):
         store = DbResultStore(tmp_path / "runs.sqlite")
