@@ -49,6 +49,39 @@ statistically equivalent to the event kernel, not bit-identical:
   accumulated ``M`` accepted arrivals in a step takes one sample at the
   step's end (the event kernel samples at the exact M-th arrival).
 
+A step's cost follows its array sizes, not its count of races.  Each
+race of :meth:`VectorNetwork._mac_step` keeps only what a later race
+reads: burst size, mode and airtime, the cluster busy clocks, the retry
+reset, the ring pop, and the four energy charges in their order.  One
+delivery pass, :meth:`VectorNetwork._mac_deliver`, then books the whole
+step's bursts: ring gather, PER lookup, ``vector/phy`` Bernoulli draws,
+delivery counters, delay reservoir, ``bits_by_src`` and relay offers.
+It gives the bytes a pass per race would give, because:
+
+* no ring slot popped in a step is rewritten before the pass: only
+  :meth:`~VectorNetwork._traffic_step` and the round teardown enqueue,
+  and both run outside the MAC phase;
+* ``vector/phy`` feeds only these draws, and ``Generator.random(a)``
+  followed by ``random(b)`` yields the same doubles as ``random(a + b)``;
+* :meth:`~repro.vector.state.BatchReservoir.add` takes the step's delays
+  with their per-race sizes: it adds each race's ``float(values.sum())``
+  in race order, which keeps numpy's pairwise order per race and so the
+  bits of ``delay_sum_s``, then runs one fill/replace pass and one
+  ``vector/stats`` draw over the concatenation.  The uplink step's
+  ``delays``/``hops`` adds still come after it;
+* relay offers go per cluster in ascending order, each with the step's
+  packets in race order; a relay appends and tail-drops at its cap
+  exactly what one offer per race would.
+
+The energy settle sums the step's charges with one ``np.bincount``.
+It adds its weights in input order starting from 0.0, so every node's
+demand is its charges summed in charge order, the same bits as one
+``np.add.at`` per charge.  The charges keep their order: per-node demand
+and the per-cause sums are order-sensitive floats.  When no node's
+demand exceeds its level every pro-rating ratio is exactly 1.0, and the
+per-cause ledger adds ``float(vals.sum())`` without the gather and
+multiply.
+
 The full channel envelope is vectorised: the exponential (Gauss-Markov)
 and Jakes-Doppler AR(1) fading bridges (:class:`repro.vector.state.ArStep`
 mirrors :class:`repro.channel.fading.RayleighFading`'s per-gap
@@ -99,6 +132,25 @@ _MAC_JOIN_P = 0.75
 #: Barrier bookkeeping epsilon for merging pre-played dynamics events
 #: into the step agenda (barrier times themselves compare exactly).
 _EPS = 1e-12
+
+
+def _ar_advance(sh, fx, fy, z, rho_s, sig_s, rho_f, sig_f) -> None:
+    """One AR(1) step of a link set's shadowing and fading, in place.
+
+    ``x = rho * x + sig * z`` with the same two products and one sum per
+    element as the out-of-place form, so every state keeps its bits.
+    Shadowing holds still when it has no innovation.
+    """
+    if sig_s > 0.0:
+        sh *= rho_s
+        z[0] *= sig_s
+        sh += z[0]
+    fx *= rho_f
+    z[1] *= sig_f
+    fx += z[1]
+    fy *= rho_f
+    z[2] *= sig_f
+    fy += z[2]
 
 
 class _DynamicsReplay:
@@ -422,11 +474,16 @@ class VectorNetwork:
         """
         mac = self.cfg.mac
         q = self.qlen[nodes]
-        # qstart is always stored reduced mod B: it indexes the ring as is.
-        oldest = self.qbirth[nodes, self.qstart[nodes]]
-        return (q >= mac.min_burst_packets) | (
-            (q > 0) & (t - oldest >= mac.min_burst_wait_s)
-        )
+        ready = q >= mac.min_burst_packets
+        # Only a queue short of a burst reads its oldest birth.  qstart is
+        # always stored reduced mod B: it indexes the ring as is, and
+        # slot s of node i sits at i * B + s in the flat ring.
+        short = np.flatnonzero((q > 0) & ~ready)
+        if short.size:
+            waiting = nodes[short]
+            oldest = self.qbirth.ravel()[waiting * self.B + self.qstart[waiting]]
+            ready[short] = t - oldest >= mac.min_burst_wait_s
+        return ready
 
     # -- main loop -----------------------------------------------------------
 
@@ -757,17 +814,15 @@ class VectorNetwork:
         m = self.m_ids.size
         if m:
             z = self._chan_rng.standard_normal((3, m))
-            if sig_s > 0.0:
-                self.m_sh = rho_s * self.m_sh + sig_s * z[0]
-            self.m_fx = rho_f * self.m_fx + sig_f * z[1]
-            self.m_fy = rho_f * self.m_fy + sig_f * z[2]
+            _ar_advance(
+                self.m_sh, self.m_fx, self.m_fy, z, rho_s, sig_s, rho_f, sig_f
+            )
         h = self.u_mean.size
         if h and self.cfg.routing.enabled:
             z = self._up_rng.standard_normal((3, h))
-            if sig_s > 0.0:
-                self.u_sh = rho_s * self.u_sh + sig_s * z[0]
-            self.u_fx = rho_f * self.u_fx + sig_f * z[1]
-            self.u_fy = rho_f * self.u_fy + sig_f * z[2]
+            _ar_advance(
+                self.u_sh, self.u_fx, self.u_fy, z, rho_s, sig_s, rho_f, sig_f
+            )
 
     def _member_snr(self) -> np.ndarray:
         re = self._los + self._scatter * self.m_fx
@@ -867,12 +922,14 @@ class VectorNetwork:
         if overflow:
             self.dropped_overflow += overflow
         kmax = int(acc.max()) if acc.size else 0
+        B = self.B
+        qbirth, qsrc = self.qbirth.ravel(), self.qsrc.ravel()
         src_ids = np.arange(n, dtype=np.int32)
         for j in range(kmax):
             sel = np.flatnonzero(acc > j)
-            slots = (self.qstart[sel] + self.qlen[sel] + j) % self.B
-            self.qbirth[sel, slots] = birth
-            self.qsrc[sel, slots] = src_ids[sel]
+            flat = sel * B + (self.qstart[sel] + self.qlen[sel] + j) % B
+            qbirth[flat] = birth
+            qsrc[flat] = src_ids[sel]
         self.qlen += acc
         return acc
 
@@ -923,7 +980,6 @@ class VectorNetwork:
         snr = self._member_snr()
         mac = self.cfg.mac
         h = self.heads.size
-        head_of = self.heads
         ids = self.m_ids
         # Step-invariant eligibility, hoisted out of the race loop:
         # deaths and head outages land at the dynamics/energy barriers
@@ -936,6 +992,7 @@ class VectorNetwork:
         if self.gated:
             base &= snr >= self.thr[self.cls[ids]]
         rows = np.flatnonzero(base)
+        sent = []  # one _mac_transmit record per race, in race order
         for _ in range(_MAC_SUB_ITERS):
             if rows.size:
                 rows = rows[self.busy[self.m_cl[rows]] < t1]
@@ -968,27 +1025,25 @@ class VectorNetwork:
                 * np.exp2(np.minimum(self.retry[ids[cidx]], mac.max_retries))
                 * self._backoff_scale
             )
-            # Winner per cluster: stable descending argsort + last-write
-            # leaves the smallest delay; on ties the last occurrence in
-            # ``cidx`` order wins (tied candidates 20 and 30 give 30).
-            order = np.argsort(-dly, kind="stable")
-            winner = np.full(h, -1, dtype=np.int64)
-            winner[cl[order]] = cidx[order]
+            # Winner per cluster: the smallest delay; on ties the last
+            # occurrence in ``cidx`` order wins (tied candidates 20 and 30
+            # give 30), through the last write of the tied candidates.
             d1 = np.full(h, np.inf)
-            d1[cl[order]] = dly[order]
-            is_w = winner[cl] == cidx
+            np.minimum.at(d1, cl, dly)
+            d1_cl = d1[cl]
+            tie = dly == d1_cl
+            winner = np.full(h, -1, dtype=np.int64)
+            winner[cl[tie]] = cidx[tie]
+            sub = winner[cl] != cidx
             d2 = np.full(h, np.inf)
-            sub = ~is_w
-            if sub.any():
-                np.minimum.at(d2, cl[sub], dly[sub])
+            np.minimum.at(d2, cl[sub], dly[sub])
             contested = winner >= 0
             # Exact fine-structure: sorted-interval overlap inside the
             # winner's startup blind window.  Every contender whose
             # backoff expires before the winner's radio is audible keys
             # up too — the collision is k-way, not pairwise.
-            in_window = dly < d1[cl] + self._blind_s
-            count = np.zeros(h, dtype=np.int64)
-            np.add.at(count, cl[in_window], 1)
+            in_window = dly < d1_cl + self._blind_s
+            count = np.bincount(cl[in_window], minlength=h)
             collide = contested & (count >= 2)
             clean = contested & ~collide
             if collide.any():
@@ -1004,7 +1059,11 @@ class VectorNetwork:
                     t0,
                 )
             if clean.any():
-                self._mac_transmit(np.flatnonzero(clean), winner, d1, snr, t0, head_of)
+                sent.append(
+                    self._mac_transmit(np.flatnonzero(clean), winner, d1, snr, t0)
+                )
+        if sent:
+            self._mac_deliver(sent)
 
     def _mac_collide(
         self,
@@ -1137,8 +1196,15 @@ class VectorNetwork:
         d1: np.ndarray,
         snr: np.ndarray,
         t0: float,
-        head_of: np.ndarray,
-    ) -> None:
+    ) -> Tuple[np.ndarray, ...]:
+        """One race's clean bursts: what a later race of the step reads.
+
+        Sets the clusters' busy clocks, resets the winners' retry
+        streaks, pops their bursts off the rings and charges the four
+        attempt costs.  Returns ``(clusters, nodes, first ring slots,
+        burst sizes, modes, SNRs, burst ends)`` for
+        :meth:`_mac_deliver`, which books the packets once per step.
+        """
         mac = self.cfg.mac
         w = winner[sc]  # member rows
         nodes = self.m_ids[w]
@@ -1149,50 +1215,14 @@ class VectorNetwork:
         # transmits anyway in the most robust mode when in outage.
         mode = np.maximum(mode, 0)
         airtime = (b * self.bits + self.overhead_bits) / self.rates[mode]
-        entry = np.where(self.busy[sc] < t0, self._idle_entry_s, 0.0)
-        start = np.maximum(self.busy[sc], t0) + entry + d1[sc] + self._blind_s
-        end = start + airtime
+        busy = self.busy[sc]
+        entry = np.where(busy < t0, self._idle_entry_s, 0.0)
+        end = np.maximum(busy, t0) + entry + d1[sc] + self._blind_s + airtime
         self.busy[sc] = end
         self.retry[nodes] = 0
-        # Pop the bursts (flat ring-buffer gather).
-        tot = int(b.sum())
-        owner = np.repeat(np.arange(w.size), b)
-        within = np.arange(tot) - np.repeat(np.cumsum(b) - b, b)
-        onodes = nodes[owner]
-        slots = (self.qstart[onodes] + within) % self.B
-        births = self.qbirth[onodes, slots]
-        srcs = self.qsrc[onodes, slots]
-        self.qstart[nodes] = (self.qstart[nodes] + b) % self.B
+        first = self.qstart[nodes]
+        self.qstart[nodes] = (first + b) % self.B
         self.qlen[nodes] -= b
-        # Per-packet PER Bernoulli on the burst's measured SNR.
-        perb = self.pertab.per(mode, wsnr)
-        ok = self._phy_rng.random(tot) >= np.repeat(perb, b)
-        n_lost = int((~ok).sum())
-        self.lost_channel += n_lost
-        n_ok = tot - n_lost
-        if n_ok:
-            ends = np.repeat(end, b)[ok]
-            obirths = births[ok]
-            osrcs = srcs[ok]
-            if self.cfg.routing.enabled:
-                self.cluster_delivered += n_ok
-                oc = np.repeat(sc, b)[ok]
-                hops1 = np.ones(1, dtype=np.int64)
-                for c in np.unique(oc):
-                    mask = oc == c
-                    cnt = int(mask.sum())
-                    self._relay_offer(
-                        int(c),
-                        obirths[mask],
-                        np.broadcast_to(hops1, (cnt,)),
-                        osrcs[mask],
-                    )
-            else:
-                self.delivered += n_ok
-                self.delivered_bits += n_ok * self.bits
-                self.delays.add(ends - obirths)
-                if self.bits_by_src is not None:
-                    np.add.at(self.bits_by_src, osrcs, self.bits)
         # Energy: winner TX + startup + CSI listen; head RX for the burst.
         self._charges.append(
             ("data_tx", nodes, self.model.power_w("data_tx") * airtime)
@@ -1218,10 +1248,60 @@ class VectorNetwork:
         self._charges.append(
             (
                 "data_rx",
-                head_of[sc],
+                self.heads[sc],
                 self.model.power_w("data_rx") * airtime,
             )
         )
+        return sc, nodes, first, b, mode, wsnr, end
+
+    def _mac_deliver(self, sent: List[Tuple[np.ndarray, ...]]) -> None:
+        """The step's delivery pass over every race's clean bursts.
+
+        Gathers the popped packets off the rings, draws their per-packet
+        PER Bernoulli outcomes on each burst's measured SNR, and books
+        the deliveries, all in race order (the module docstring says why
+        this gives the bytes a pass per race would).
+        """
+        sc, nodes, first, b, mode, wsnr, end = (
+            np.concatenate(col) for col in zip(*sent)
+        )
+        tot = int(b.sum())
+        owner = np.repeat(np.arange(b.size), b)
+        within = np.arange(tot) - np.repeat(np.cumsum(b) - b, b)
+        flat = nodes[owner] * self.B + (first[owner] + within) % self.B
+        ok = self._phy_rng.random(tot) >= self.pertab.per(mode, wsnr)[owner]
+        okb = owner[ok]  # the burst of each delivered packet
+        n_ok = okb.size
+        self.lost_channel += tot - n_ok
+        if n_ok == 0:
+            return
+        flat = flat[ok]
+        obirths = self.qbirth.ravel()[flat]
+        osrcs = self.qsrc.ravel()[flat]
+        if self.cfg.routing.enabled:
+            self.cluster_delivered += n_ok
+            # One offer per cluster, ascending, of its packets in race
+            # order: the relay appends and tail-drops what one offer per
+            # race would.
+            oc = sc[okb]
+            by_cl = np.argsort(oc, kind="stable")
+            oc, obirths, osrcs = oc[by_cl], obirths[by_cl], osrcs[by_cl]
+            cuts = np.flatnonzero(oc[1:] != oc[:-1]) + 1
+            hops1 = np.ones(n_ok, dtype=np.int64)
+            for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), n_ok]):
+                self._relay_offer(
+                    int(oc[lo]), obirths[lo:hi], hops1[lo:hi], osrcs[lo:hi]
+                )
+            return
+        self.delivered += n_ok
+        self.delivered_bits += n_ok * self.bits
+        race = np.repeat(np.arange(len(sent)), [rec[0].size for rec in sent])
+        self.delays.add(
+            end[okb] - obirths,
+            sizes=np.bincount(race[okb], minlength=len(sent)).tolist(),
+        )
+        if self.bits_by_src is not None:
+            np.add.at(self.bits_by_src, osrcs, self.bits)
 
     # -- uplink tier ---------------------------------------------------------
 
@@ -1421,23 +1501,36 @@ class VectorNetwork:
                 )
         # Settle: cap each node's spend at its remaining charge, pro-rate
         # the per-cause ledger for partially covered (dying) nodes.
-        demand = np.zeros(self.n)
-        for _cause, ids, vals in self._charges:
-            np.add.at(demand, ids, vals)
+        # bincount adds the weights in input order from 0.0: each node's
+        # demand is its charges summed in charge order.
+        charges = self._charges
+        if charges:
+            demand = np.bincount(
+                np.concatenate([ids for _cause, ids, _vals in charges]),
+                weights=np.concatenate([vals for _cause, _ids, vals in charges]),
+                minlength=self.n,
+            )
+        else:
+            demand = np.zeros(self.n)
         spend = np.minimum(demand, self.level)
-        ratio = np.ones(self.n)
         pos = demand > 0
-        ratio[pos] = spend[pos] / demand[pos]
+        ratio = None  # every ratio is exactly 1.0 unless a node runs dry
+        if (demand > self.level).any():
+            ratio = np.ones(self.n)
+            ratio[pos] = spend[pos] / demand[pos]
         bd = self.breakdown
-        for cause, ids, vals in self._charges:
-            bd[cause] = bd.get(cause, 0.0) + float((vals * ratio[ids]).sum())
+        for cause, ids, vals in charges:
+            part = vals if ratio is None else vals * ratio[ids]
+            bd[cause] = bd.get(cause, 0.0) + float(part.sum())
         self.level -= spend
         self.drawn += spend
-        dying = self.alive & pos & (demand >= self.level + spend - _EPS)
-        dying &= self.level <= _EPS
-        if dying.any():
+        # A node dies when this step's demand drained it: only nodes left
+        # at or below _EPS can, so the test runs on those alone.
+        low = np.flatnonzero(self.level <= _EPS)
+        drained = demand[low] >= self.level[low] + spend[low] - _EPS
+        died = low[self.alive[low] & pos[low] & drained]
+        if died.size:
             t1 = t0 + sdt
-            died = np.flatnonzero(dying)
             self.alive[died] = False
             self.level[died] = 0.0
             self.death_time[died] = t1

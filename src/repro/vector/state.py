@@ -151,6 +151,12 @@ class BatchReservoir:
     Holds an exact sum and count regardless of the cap, so means stay
     exact even when the sample set is bounded.  With ``cap=None`` every
     value is kept.
+
+    ``add(values, sizes)`` takes several batches concatenated: the sum
+    grows by each batch's ``float(batch.sum())`` in order, so the sum
+    bits, count, samples and ``rng`` draws equal one ``add`` per batch
+    (``Generator.random(a)`` then ``random(b)`` draws what
+    ``random(a + b)`` does).
     """
 
     def __init__(self, cap: Optional[int], rng: Optional[np.random.Generator]):
@@ -165,12 +171,19 @@ class BatchReservoir:
             self._buf = np.empty(cap)
             self._chunks = []
 
-    def add(self, values: np.ndarray) -> None:
+    def add(self, values: np.ndarray, sizes: Optional[Sequence[int]] = None) -> None:
         k = values.size
         if k == 0:
             return
         seen = self.count
-        self.sum += float(values.sum())
+        if sizes is None:
+            self.sum += float(values.sum())
+        else:
+            lo = 0
+            for size in sizes:
+                if size:
+                    self.sum += float(values[lo : lo + size].sum())
+                    lo += size
         self.count += k
         if self.cap is None:
             self._chunks.append(np.asarray(values, dtype=float).copy())

@@ -19,6 +19,7 @@ from repro.rng import RngRegistry
 from repro.sim import EventQueue, Simulator
 from repro.traffic import Packet, PacketBuffer
 from repro.units import db_to_linear, linear_to_db
+from repro.vector.state import BatchReservoir
 
 _TABLE = AbicmTable.from_config(PhyConfig())
 _LADDER = ThresholdLadder(_TABLE)
@@ -309,3 +310,145 @@ class TestNumpyExactStatistics:
         assert [repr(v) for v in _mean_over_seeds(per_seed)] == [
             repr(float(v)) for v in expected
         ]
+
+
+#: Energy charges as the vector engine books them: node ids with repeats
+#: and joule values across the ledger's span.
+_JOULES = st.floats(min_value=1e-12, max_value=1e3)
+#: Contention delays with ties: a few exact repeats, some one blind
+#: window (1e-3) apart, mixed with arbitrary values.
+_TIED = st.one_of(st.sampled_from([0.0, 1e-3, 0.25, 0.5]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _charges(draw):
+    n = draw(st.integers(min_value=1, max_value=30))
+    ids = st.lists(st.integers(min_value=0, max_value=n - 1), max_size=20)
+    charges = []
+    for node_ids in draw(st.lists(ids, min_size=1, max_size=12)):
+        vals = draw(st.lists(_JOULES, min_size=len(node_ids),
+                             max_size=len(node_ids)))
+        charges.append((np.asarray(node_ids, dtype=np.int64),
+                        np.asarray(vals, dtype=float)))
+    return n, charges
+
+
+@st.composite
+def _race(draw):
+    h = draw(st.integers(min_value=1, max_value=6))
+    k = draw(st.integers(min_value=1, max_value=30))
+    cl = draw(st.lists(st.integers(0, h - 1), min_size=k, max_size=k))
+    vals = draw(st.lists(_TIED, min_size=k, max_size=k))
+    return h, np.asarray(cl, dtype=np.int64), np.asarray(vals, dtype=float)
+
+
+_SEGMENTS = st.lists(
+    st.lists(st.floats(min_value=-1.0, max_value=10.0), max_size=40),
+    min_size=1, max_size=8,
+)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+class TestVectorExactReductions:
+    """The vector engine's batched reductions equal the per-call ones they
+    replaced, bit for bit, so one pass per step keeps every output byte."""
+
+    @given(_charges())
+    def test_bincount_demand_equals_add_at_sequence(self, drawn):
+        n, charges = drawn
+        expected = np.zeros(n)
+        for ids, vals in charges:
+            np.add.at(expected, ids, vals)
+        got = np.bincount(
+            np.concatenate([ids for ids, _vals in charges]),
+            weights=np.concatenate([vals for _ids, vals in charges]),
+            minlength=n,
+        )
+        assert _bits(got) == _bits(expected)
+
+    @given(_charges(), st.sampled_from([1.0, 1.5]))
+    def test_unit_ratio_ledger_skips_the_multiply(self, drawn, headroom):
+        # No node over its level: every pro-rating ratio is exactly 1.0.
+        n, charges = drawn
+        demand = np.zeros(n)
+        for ids, vals in charges:
+            np.add.at(demand, ids, vals)
+        spend = np.minimum(demand, demand * headroom)
+        ratio = np.ones(n)
+        pos = demand > 0
+        ratio[pos] = spend[pos] / demand[pos]
+        assert (ratio == 1.0).all()
+        for ids, vals in charges:
+            assert repr(float(vals.sum())) == repr(float((vals * ratio[ids]).sum()))
+
+    @given(_race())
+    def test_sort_free_race_equals_argsort_last_write(self, race):
+        # The engine's race resolution against the stable descending
+        # argsort it replaced: same winner (the last tied candidate in
+        # cidx order), smallest and runner-up delays, window counts.
+        h, cl, dly = race
+        cidx = np.cumsum(np.arange(1, cl.size + 1) % 3 + 1)  # ascending rows
+        order = np.argsort(-dly, kind="stable")
+        want_w = np.full(h, -1, dtype=np.int64)
+        want_w[cl[order]] = cidx[order]
+        want_d1 = np.full(h, np.inf)
+        want_d1[cl[order]] = dly[order]
+        loser = want_w[cl] != cidx
+        want_d2 = np.full(h, np.inf)
+        np.minimum.at(want_d2, cl[loser], dly[loser])
+        in_window = dly < want_d1[cl] + 1e-3
+        want_count = np.zeros(h, dtype=np.int64)
+        np.add.at(want_count, cl[in_window], 1)
+
+        d1 = np.full(h, np.inf)
+        np.minimum.at(d1, cl, dly)
+        tie = dly == d1[cl]
+        winner = np.full(h, -1, dtype=np.int64)
+        winner[cl[tie]] = cidx[tie]
+        sub = winner[cl] != cidx
+        d2 = np.full(h, np.inf)
+        np.minimum.at(d2, cl[sub], dly[sub])
+        count = np.bincount(cl[dly < d1[cl] + 1e-3], minlength=h)
+        assert winner.tolist() == want_w.tolist()
+        assert _bits(d1) == _bits(want_d1)
+        assert _bits(d2) == _bits(want_d2)
+        assert count.tolist() == want_count.tolist()
+
+    @given(_SEGMENTS, st.sampled_from(["none", "unreached", "crossed", "full"]),
+           st.data())
+    def test_segmented_reservoir_add_equals_one_add_per_segment(
+        self, segments, case, data
+    ):
+        sizes = [len(seg) for seg in segments]
+        total = sum(sizes)
+        prefill = []
+        cap = None
+        if case == "unreached":
+            cap = total + data.draw(st.integers(min_value=1, max_value=50))
+        elif case == "crossed":
+            inside = [i for i, size in enumerate(sizes) if size >= 2]
+            if not inside:
+                inside = [len(sizes)]
+                segments, sizes = segments + [[0.5, 1.5]], sizes + [2]
+            i = data.draw(st.sampled_from(inside))
+            cap = sum(sizes[:i]) + data.draw(st.integers(1, sizes[i] - 1))
+        elif case == "full":
+            cap = data.draw(st.integers(min_value=1, max_value=20))
+            prefill = [float(v) for v in range(cap + data.draw(st.integers(0, 5)))]
+        seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
+        one = BatchReservoir(cap, np.random.default_rng(seed))
+        batched = BatchReservoir(cap, np.random.default_rng(seed))
+        for res in (one, batched):
+            res.add(np.asarray(prefill))
+        for seg in segments:
+            one.add(np.asarray(seg, dtype=float))
+        batched.add(
+            np.asarray([v for seg in segments for v in seg], dtype=float), sizes
+        )
+        assert repr(batched.sum) == repr(one.sum)
+        assert batched.count == one.count
+        assert _bits(batched.samples()) == _bits(one.samples())
+        assert batched.rng.random() == one.rng.random()

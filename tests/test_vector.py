@@ -292,6 +292,19 @@ def _pin_config(case: str) -> NetworkConfig:
         )
     if case == "seed_above_2_32":
         return cfg.with_dynamics(**_PIN_CHURN)
+    if case == "battery_deaths":
+        # A 10 mJ battery (jittered by 30%) empties mid-run: ~450 nodes
+        # die, so the energy settle pro-rates the charges of dying nodes.
+        energy = dataclasses.replace(cfg.energy, initial_energy_j=0.01)
+        return dataclasses.replace(cfg, energy=energy).with_dynamics(
+            **_PIN_CHURN, battery_jitter=0.3
+        )
+    if case == "capped_delay_reservoir":
+        # ~158k delays against a 20k cap: the one pin whose delay
+        # reservoir fills and then replaces samples.
+        return _pin_config("churn_jitter_regime_bursty").with_scale(
+            backend="vector", max_delay_samples=20_000
+        )
     raise ValueError(case)
 
 
@@ -326,6 +339,14 @@ _PINS = {
     "seed_above_2_32": (
         "31b3a20028723695f315b68593d2c40e"
         "4fb4e1828367049e4ff362d81fc1a713"
+    ),
+    "battery_deaths": (
+        "bdcf82facfbe4dbbbf69a3c9c7faf58f"
+        "3840b110774d770b014b94b9f9ea2e70"
+    ),
+    "capped_delay_reservoir": (
+        "99198f18dca23486342a51cc66ee5d09"
+        "4f88121e324ac537a924d02c150dacc4"
     ),
 }
 
