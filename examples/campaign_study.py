@@ -33,7 +33,7 @@ def main() -> None:
     parser.add_argument("--executor", default="serial", metavar="SPEC",
                         help="execution backend, e.g. serial or pool:4")
     parser.add_argument("--store", default=None,
-                        help="also persist raw runs to this .jsonl/.csv path")
+                        help="also persist raw runs to this .jsonl path")
     args = parser.parse_args()
 
     base = Scenario.from_preset(args.preset)

@@ -9,8 +9,8 @@ on:
   config field) executed under any :class:`ExecutorSpec` (serial,
   ``"pool:4"``, supervised, distributed), bit-identical at any
   parallelism;
-* :class:`ResultStore` — JSONL/CSV persistence of :class:`RunResult`
-  rows, so figures re-render without re-simulating;
+* :class:`ResultStore` — JSONL persistence of :class:`RunResult` rows,
+  so figures re-render without re-simulating;
 * :func:`experiment` / :func:`get_experiment` / :func:`list_experiments`
   — the pluggable registry the figures, tables, and extension studies
   publish themselves through;

@@ -20,8 +20,8 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence
 __all__ = ["COUNTER_FIELDS", "RunResult", "RunTotals", "SERIES_FIELDS"]
 
 #: RunResult fields that hold time series / per-node vectors rather than
-#: scalars.  The CSV store drops these columns, and
-#: :meth:`RunResult.scalar_summary` (the query/browse view) omits them.
+#: scalars.  :meth:`RunResult.scalar_summary` (the query/browse view)
+#: omits them.
 SERIES_FIELDS = (
     "sample_times_s",
     "mean_energy_j",
@@ -235,7 +235,7 @@ class RunResult:
 
         Unknown keys are ignored (forward compatibility with stores written
         by newer versions); missing optional fields fall back to their
-        defaults, so lossy scalar-only CSV rows load too.
+        defaults (rows from stores written before a field existed).
         """
         known = {f.name for f in dataclasses.fields(cls)}
         kwargs = {k: v for k, v in data.items() if k in known}

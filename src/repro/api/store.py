@@ -8,14 +8,9 @@ figures and tables can be re-rendered without re-simulating::
     ...                                  # later / elsewhere
     runs = ResultStore("results/fig10.jsonl").load()
 
-Two flat-file formats, chosen by file suffix:
-
-* ``.jsonl`` — one JSON object per line, full fidelity (time series
-  included); round-trips exactly through
-  :meth:`RunResult.to_dict`/:meth:`RunResult.from_dict`.
-* ``.csv`` — scalar columns only (time series are dropped), for
-  spreadsheet-style analysis.  Loading restores the scalars and leaves
-  the series empty.
+The file is JSON Lines (``.jsonl``): one JSON object per line, full
+fidelity (time series included), round-tripping exactly through
+:meth:`RunResult.to_dict`/:meth:`RunResult.from_dict`.
 
 (The SQLite-backed :class:`repro.service.DbResultStore` implements the
 same append/extend/load/iterate interface with indexed reads; use
@@ -24,7 +19,9 @@ same append/extend/load/iterate interface with indexed reads; use
 Durability: JSONL appends are write-then-flush-then-fsync, and the reader
 tolerates a torn trailing record (a writer killed mid-append leaves a
 partial last line with no newline — it is skipped, every completed row
-before it loads).  A corrupt record *inside* the file still fails loudly.
+before it loads).  The next append cuts that fragment off before it
+writes, so a resumed campaign never fuses it with a new record.  A
+corrupt record *inside* the file still fails loudly.
 
 Every written row carries ``format_version`` (see
 :data:`STORE_FORMAT_VERSION`); reading a store written by an incompatible
@@ -35,15 +32,13 @@ version field are pre-versioning stores (format 1 layout) and load fine.
 
 from __future__ import annotations
 
-import csv
-import dataclasses
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Sequence, Union
+from typing import IO, Any, Iterator, List, Sequence, Union
 
 from ..errors import ExperimentError
-from .result import RunResult, SERIES_FIELDS
+from .result import RunResult
 
 __all__ = ["ResultStore", "STORE_FORMAT_VERSION", "check_format_version"]
 
@@ -51,25 +46,6 @@ __all__ = ["ResultStore", "STORE_FORMAT_VERSION", "check_format_version"]
 #: layout changes incompatibly (renamed/retyped fields); readers refuse
 #: rows from a *newer* format loudly.
 STORE_FORMAT_VERSION = 1
-
-#: RunResult fields exported to CSV (scalars only, in declaration order).
-_SCALAR_FIELDS = [
-    f.name
-    for f in dataclasses.fields(RunResult)
-    if f.name not in SERIES_FIELDS
-]
-
-_INT_FIELDS = {
-    f.name for f in dataclasses.fields(RunResult)
-    if f.type in ("int", int)
-}
-_STRING_FIELDS = {"protocol", "experiment", "config_digest"}
-_FLOAT_FIELDS = {
-    f.name for f in dataclasses.fields(RunResult)
-    if f.name in _SCALAR_FIELDS and f.name not in _INT_FIELDS
-    and f.name not in _STRING_FIELDS
-}
-
 
 def _active_faults():
     """The ambient fault injector (chaos tests), or ``None``.
@@ -109,23 +85,53 @@ def check_format_version(value: Any, source: Union[str, Path]) -> None:
         )
 
 
+def _seal_tail(fh: IO[bytes]) -> bytes:
+    """Make a store opened for append end on a line boundary.
+
+    Returns the bytes to write before the next record.  A last line
+    without its newline is either a complete record, which the reader
+    serves (terminate it: ``b"\\n"``), or the torn fragment of a writer
+    killed mid-append, which the reader skips (cut it off).  Appending
+    onto either would fuse it with the new record into one corrupt line
+    mid-file.
+    """
+    end = fh.seek(0, os.SEEK_END)
+    if end == 0:
+        return b""
+    fh.seek(end - 1)
+    if fh.read(1) == b"\n":
+        return b""
+    # Rare (only after a kill): read the whole file, as every load does.
+    fh.seek(0)
+    data = fh.read()
+    start = data.rfind(b"\n") + 1
+    try:
+        json.loads(data[start:])
+    except ValueError:
+        fh.truncate(start)
+        return b""
+    return b"\n"
+
+
 class ResultStore:
-    """Append-only store of :class:`RunResult` rows at one path."""
+    """Append-only JSONL store of :class:`RunResult` rows at one path."""
+
+    format = "jsonl"
 
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
         suffix = self.path.suffix.lower()
-        if suffix not in (".jsonl", ".csv"):
+        if suffix != ".jsonl":
             raise ExperimentError(
-                f"unsupported store format {suffix!r} (use .jsonl or .csv, "
-                f"or .sqlite via repro.service.open_store)"
+                f"unsupported store format {suffix!r} (use .jsonl, or a "
+                f".sqlite/.sqlite3/.db result database via "
+                f"repro.service.open_store)"
             )
-        self.format = suffix[1:]
 
     # -- writing ---------------------------------------------------------------
 
     def append(self, run: RunResult) -> None:
-        """Append one run (creates the file, and for CSV the header)."""
+        """Append one run (creates the file)."""
         self.extend([run])
 
     def extend(self, runs: Sequence[RunResult]) -> None:
@@ -134,7 +140,8 @@ class ResultStore:
         The fsync makes the append crash-safe: once ``extend`` returns,
         the rows survive a killed process or a power cut, and a crash
         *during* the write leaves at most one torn trailing line, which
-        the reader skips (earlier rows stay loadable).
+        the reader skips (earlier rows stay loadable) and the next
+        ``extend`` cuts off before it writes.
         """
         if not runs:
             return
@@ -144,47 +151,32 @@ class ResultStore:
             f"{runs[0].load_pps!r}|{runs[0].seed}|{len(runs)}"
         )
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        if self.format == "jsonl":
-            with self.path.open("a") as fh:
-                lines = []
-                for run in runs:
-                    row = run.to_dict()
-                    row["format_version"] = STORE_FORMAT_VERSION
-                    lines.append(json.dumps(row) + "\n")
-                if faults is not None and faults.torn_write(fault_key):
-                    # Injected power-cut: all but the last record land,
-                    # the last stops mid-line with no newline — exactly
-                    # the torn tail the reader knows how to skip.
-                    fh.write("".join(lines[:-1]))
-                    fh.write(lines[-1][: max(1, len(lines[-1]) // 2)])
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                    from ..service.faults import InjectedFault
+        with self.path.open("a+b") as fh:
+            lead = _seal_tail(fh)
+            lines = []
+            for run in runs:
+                row = run.to_dict()
+                row["format_version"] = STORE_FORMAT_VERSION
+                lines.append((json.dumps(row) + "\n").encode())
+            if faults is not None and faults.torn_write(fault_key):
+                # Injected power-cut: all but the last record land,
+                # the last stops mid-line with no newline — exactly
+                # the torn tail the reader knows how to skip.
+                fh.write(lead + b"".join(lines[:-1]))
+                fh.write(lines[-1][: max(1, len(lines[-1]) // 2)])
+                fh.flush()
+                os.fsync(fh.fileno())
+                from ..service.faults import InjectedFault
 
-                    raise InjectedFault(
-                        f"injected torn JSONL append "
-                        f"(site=store.torn_write key={fault_key})"
-                    )
-                fh.write("".join(lines))
-                fh.flush()
-                if faults is not None:
-                    faults.check_fsync(fault_key)
-                os.fsync(fh.fileno())
-        else:
-            new_file = not self.path.exists() or self.path.stat().st_size == 0
-            with self.path.open("a", newline="") as fh:
-                writer = csv.writer(fh)
-                if new_file:
-                    writer.writerow(_SCALAR_FIELDS + ["format_version"])
-                for run in runs:
-                    row = run.to_dict()
-                    writer.writerow(
-                        ["" if row[name] is None else row[name]
-                         for name in _SCALAR_FIELDS]
-                        + [STORE_FORMAT_VERSION]
-                    )
-                fh.flush()
-                os.fsync(fh.fileno())
+                raise InjectedFault(
+                    f"injected torn JSONL append "
+                    f"(site=store.torn_write key={fault_key})"
+                )
+            fh.write(lead + b"".join(lines))
+            fh.flush()
+            if faults is not None:
+                faults.check_fsync(fault_key)
+            os.fsync(fh.fileno())
 
     # -- reading ---------------------------------------------------------------
 
@@ -195,12 +187,6 @@ class ResultStore:
     def __iter__(self) -> Iterator[RunResult]:
         if not self.path.exists():
             return
-        if self.format == "jsonl":
-            yield from self._iter_jsonl()
-        else:
-            yield from self._iter_csv()
-
-    def _iter_jsonl(self) -> Iterator[RunResult]:
         with self.path.open() as fh:
             for lineno, line in enumerate(fh, start=1):
                 stripped = line.strip()
@@ -224,26 +210,8 @@ class ResultStore:
                 )
                 yield RunResult.from_dict(data)
 
-    def _iter_csv(self) -> Iterator[RunResult]:
-        with self.path.open(newline="") as fh:
-            for row in csv.DictReader(fh):
-                check_format_version(
-                    (row.pop("format_version", None) or None), self.path
-                )
-                data: Dict[str, Any] = {}
-                for name, raw in row.items():
-                    if raw == "" or raw is None:
-                        continue
-                    if name in _INT_FIELDS:
-                        data[name] = int(raw)
-                    elif name in _FLOAT_FIELDS:
-                        data[name] = float(raw)
-                    else:
-                        data[name] = raw
-                yield RunResult.from_dict(data)
-
     def __len__(self) -> int:
         return sum(1 for _ in self)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ResultStore({str(self.path)!r}, format={self.format!r})"
+        return f"ResultStore({str(self.path)!r})"

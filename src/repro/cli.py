@@ -8,13 +8,15 @@ table, or extension study shows up automatically::
     repro-caem run table1
     repro-caem run fig8  --preset quick --seeds 1 2
     repro-caem run fig10 --preset full --executor pool:8 --out results/
-    repro-caem run fig11 --store runs/fig11.jsonl      # persist raw runs
+    repro-caem run fig11 --cache runs/fig11.jsonl      # keep the raw runs
     repro-caem run fig11 --from runs/fig11.jsonl       # re-render, no sim
     repro-caem run all   --preset quick
     repro-caem run fig8  --profile fig8.pstats         # find the hot spots
 
-The service tier (see :mod:`repro.service`) adds the result database,
-the content-addressed run cache, and the campaign server::
+``--cache PATH`` is the one flag that writes a result store: it serves
+grid cells the store already holds, simulates the rest and appends each
+as it settles.  The service tier (see :mod:`repro.service`) adds the
+result database and the campaign server::
 
     repro-caem run fig10 --cache results.sqlite   # repeat = pure reads
     repro-caem run fig10 --cache results.sqlite --executor supervised
@@ -126,12 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory to also write <figure>.csv into",
     )
     run_p.add_argument(
-        "--store",
-        default=None,
-        metavar="PATH",
-        help="append every raw RunResult to this .jsonl/.csv/.sqlite store",
-    )
-    run_p.add_argument(
         "--from",
         dest="from_store",
         default=None,
@@ -145,9 +141,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DB",
         help="content-addressed run cache: serve grid cells already in "
         "this .sqlite result database (or .jsonl store), simulate and "
-        "store only the misses (a repeated run is 100%% reads, and "
-        "re-running an interrupted one resumes it; cache stats go to "
-        "stderr)",
+        "append only the misses, each as it completes (a repeated run is "
+        "100%% reads, and re-running an interrupted one resumes it; cache "
+        "stats go to stderr)",
     )
     run_p.add_argument(
         "--profile",
@@ -256,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query_p.add_argument(
         "store", metavar="STORE",
-        help="result store to read (.sqlite/.db/.jsonl/.csv)",
+        help="result store to read (.sqlite/.db/.jsonl)",
     )
     query_p.add_argument("--experiment", default=None)
     query_p.add_argument("--digest", default=None,
@@ -290,9 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--agg",
         default=None,
         choices=("mean", "min", "max", "sum"),
-        help="reduce the matching rows instead of listing them; computed "
-        "in SQL for a .sqlite store (JSON payloads never decoded), in "
-        "Python for flat files",
+        help="reduce the matching rows instead of listing them, in "
+        "insertion order (a store and its migrated copy print the same "
+        "numbers)",
     )
     query_p.add_argument(
         "--group-by",
@@ -326,10 +322,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     migrate_p = sub.add_parser(
         "migrate",
-        help="copy a result store between formats (jsonl/csv <-> sqlite)",
+        help="copy a result store between formats (jsonl <-> sqlite)",
     )
     migrate_p.add_argument("src", metavar="SRC",
-                           help="existing store (.jsonl/.csv/.sqlite/.db)")
+                           help="existing store (.jsonl/.sqlite/.db)")
     migrate_p.add_argument("dst", metavar="DST",
                            help="destination store, created/appended")
     return parser
@@ -405,34 +401,19 @@ def _open_existing_store(path: str):
 
 def _cmd_run_body(args: argparse.Namespace) -> int:
     from .service import RunCache, open_store
-    from .service.db import require_series
 
     names = (
         _known_names() if args.experiment == "all" else [args.experiment]
     )
-    from_store = stored_runs = None
-    if args.from_store:
-        from_store = _open_existing_store(args.from_store)
-        require_series(from_store, "--from")
-        stored_runs = from_store.load()
-    store = open_store(args.store) if args.store else None
-    if (
-        store is not None
-        and from_store is not None
-        and store.path.resolve() == from_store.path.resolve()
-    ):
+    if args.cache and args.from_store:
         raise ExperimentError(
-            f"refusing to append runs loaded from {store.path} back into "
-            f"itself (--from and --store name the same file)"
+            "--cache and --from are mutually exclusive: --cache "
+            "already reads stored cells and simulates only the misses"
         )
-    cache = None
-    if args.cache:
-        if args.from_store:
-            raise ExperimentError(
-                "--cache and --from are mutually exclusive: --cache "
-                "already reads stored cells and simulates only the misses"
-            )
-        cache = RunCache(open_store(args.cache))
+    stored_runs = None
+    if args.from_store:
+        stored_runs = _open_existing_store(args.from_store).load()
+    cache = RunCache(open_store(args.cache)) if args.cache else None
     with use_run_cache(cache), use_executor(args.executor):
         for name in names:
             spec = get_experiment(name)
@@ -446,11 +427,6 @@ def _cmd_run_body(args: argparse.Namespace) -> int:
             )
             sys.stdout.write(figure.render())
             sys.stdout.write("\n")
-            if store is not None and figure.runs:
-                store.extend(figure.runs)
-                sys.stdout.write(
-                    f"stored {len(figure.runs)} runs in {store.path}\n\n"
-                )
             if args.out:
                 path = figure.save_csv(args.out)
                 sys.stdout.write(f"wrote {path}\n\n")

@@ -118,10 +118,5 @@ class Topology:
             raise ClusterError("no sink placed (call place_sink first)")
         return float(self._sink_dist[node])
 
-    def centroid(self) -> Tuple[float, float]:
-        """Mean position (diagnostics)."""
-        c = self.positions.mean(axis=0)
-        return float(c[0]), float(c[1])
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Topology(n={self.n_nodes}, field={self.field_size_m} m)"

@@ -286,8 +286,6 @@ class LeachConfig:
     ch_fraction: float = C.LEACH_CH_FRACTION
     #: Round duration, s.
     round_duration_s: float = C.LEACH_ROUND_DURATION_S
-    #: If True, a node with a dead battery can never be elected.
-    skip_dead_nodes: bool = True
 
     def __post_init__(self) -> None:
         _require(0 < self.ch_fraction <= 1, "CH fraction must be in (0, 1]")
@@ -570,14 +568,19 @@ class ScaleConfig:
             )
 
 
-#: Scale knobs that once chose between output-neutral event-kernel paths,
-#: at the one value every run now takes.  :meth:`NetworkConfig.digest`
-#: still hashes them, so every stored row keeps pairing with its cell.
-_RETIRED_SCALE_DIGEST_KEYS = {
-    "spatial_index": "grid",
-    "grid_min_heads": 8,
-    "link_pool": True,
-    "reuse_head_stack": True,
+#: Retired knobs by config section, each at the one value every run now
+#: takes.  :meth:`NetworkConfig.digest` still hashes them, so every
+#: stored row keeps pairing with its cell.
+_RETIRED_DIGEST_KEYS = {
+    # Once chose between output-neutral event-kernel paths.
+    "scale": {
+        "spatial_index": "grid",
+        "grid_min_heads": 8,
+        "link_pool": True,
+        "reuse_head_stack": True,
+    },
+    # Election always takes the alive set; no run ever read the knob.
+    "leach": {"skip_dead_nodes": True},
 }
 
 
@@ -686,8 +689,8 @@ class NetworkConfig:
         two configs differing anywhere (a churn rate, a sink offset, a
         scale knob) digest differently, so a stale or reordered store can
         never silently fill the wrong cell.  The payload is
-        :meth:`to_dict` plus the retired scale knobs at their one value
-        (:data:`_RETIRED_SCALE_DIGEST_KEYS`), so digests match those of
+        :meth:`to_dict` plus the retired knobs at their one value
+        (:data:`_RETIRED_DIGEST_KEYS`), so digests match those of
         releases that still had the knobs.
 
         Computed once per instance: the config is frozen, and the cached
@@ -701,7 +704,8 @@ class NetworkConfig:
         import json
 
         data = self.to_dict()
-        data["scale"].update(_RETIRED_SCALE_DIGEST_KEYS)
+        for section, retired in _RETIRED_DIGEST_KEYS.items():
+            data[section].update(retired)
         payload = json.dumps(data, sort_keys=True)
         digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
         object.__setattr__(self, "_digest", digest)

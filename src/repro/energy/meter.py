@@ -56,11 +56,6 @@ class ContinuousDraw:
         self._last_settle_s = start_s
         self._open = True
 
-    @property
-    def is_open(self) -> bool:
-        """True until :meth:`close` is called."""
-        return self._open
-
     def checkpoint(self, now: float) -> float:
         """Settle energy accrued since the last settle; returns joules charged.
 

@@ -97,7 +97,3 @@ class RadioEnergyModel:
     def tx_energy_j(self, airtime_s: float) -> float:
         """Transmit energy for a burst of the given airtime."""
         return self.energy_j("data_tx", airtime_s)
-
-    def rx_energy_j(self, airtime_s: float) -> float:
-        """Receive energy for the same airtime (cluster-head side)."""
-        return self.energy_j("data_rx", airtime_s)

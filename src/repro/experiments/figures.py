@@ -154,8 +154,8 @@ def _resolve_runs(
             f"{len(scenarios)} grid cells for experiment={experiment_id}; "
             f"missing:\n{cells}\n(runs from other experiments, other "
             f"configurations, or pre-digest stores are not admitted — "
-            f"simulate the missing cells with --store, or point --cache "
-            f"at a result database to fill them automatically)"
+            f"run the same line with --cache PATH instead of --from to "
+            f"simulate only the missing cells into the store)"
         )
     return paired  # type: ignore[return-value]  # no None left past the check
 

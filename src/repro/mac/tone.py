@@ -251,8 +251,3 @@ class ToneBroadcaster:
             pass
         else:
             self._listener_snapshot = None
-
-    @property
-    def n_listeners(self) -> int:
-        """Sensors currently listening."""
-        return len(self._listeners)

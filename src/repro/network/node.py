@@ -271,11 +271,6 @@ class SensorNode:
 
     # -- reporting -----------------------------------------------------------------------
 
-    @property
-    def remaining_j(self) -> float:
-        """Battery level (settle the meter first for exact snapshots)."""
-        return self.battery.level_j
-
     def settle(self) -> None:
         """Flush open continuous draws so battery level is current."""
         self.meter.settle_all()

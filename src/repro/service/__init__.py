@@ -3,10 +3,10 @@
 Three layers, each usable on its own:
 
 * **Result database** (:mod:`~repro.service.db`): the SQLite-backed
-  :class:`DbResultStore` — same interface as the flat-file
-  :class:`repro.api.ResultStore`, plus indexed reads, WAL concurrency,
-  schema migrations, and JSONL/CSV import/export.  :func:`open_store`
-  picks the backend by file suffix.
+  :class:`DbResultStore` — same interface as the JSONL
+  :class:`repro.api.ResultStore`, plus indexed reads, WAL concurrency
+  and schema migrations.  :func:`open_store` picks the backend by file
+  suffix, and ``repro-caem migrate`` copies rows between the two.
 * **Run cache** (:mod:`~repro.service.cache`): :class:`RunCache` serves
   campaign cells whose config digest already has a stored row straight
   from the database and simulates only the misses — a repeated sweep is
@@ -17,7 +17,7 @@ Three layers, each usable on its own:
   over JSON/HTTP into a background :class:`JobManager`, stream NDJSON
   progress, browse rows, and re-render figures from stored rows; and
   ``repro-caem query`` (:mod:`~repro.service.query`) for the same
-  filtered reads without a server.
+  filtered reads and grouped reductions without a server.
 
 Fault tolerance rides across all three: the run cache appends each
 simulated cell to the database as it completes, so re-running an

@@ -34,7 +34,6 @@ from ..api import campaign as _campaign
 from ..api.pairing import pair_stored_runs, scenario_key
 from ..api.result import RunResult
 from ..exec.base import CampaignIncompleteError
-from .db import require_series
 
 __all__ = ["CacheStats", "RunCache"]
 
@@ -78,13 +77,12 @@ class CacheStats:
 class RunCache:
     """Digest-keyed read-through cache over a result store.
 
-    ``store`` is any full-fidelity store with ``extend`` and either
-    ``rows_for_digests`` (the indexed :class:`~repro.service.DbResultStore`
-    path) or ``load`` (a JSONL file works too, at scan cost); a CSV
-    store is refused, since its rows lack the time series.  ``on_event``
-    receives progress dicts (the campaign server streams them as
-    NDJSON): a ``plan`` event up front, then one ``cell`` event per grid
-    cell with its source.
+    ``store`` is any store with ``extend`` and either ``rows_for_digests``
+    (the indexed :class:`~repro.service.DbResultStore` path) or ``load``
+    (a JSONL file works too, at scan cost).  ``on_event`` receives
+    progress dicts (the campaign server streams them as NDJSON): a
+    ``plan`` event up front, then one ``cell`` event per grid cell with
+    its source.
     """
 
     def __init__(
@@ -92,7 +90,6 @@ class RunCache:
         store,
         on_event: Optional[Callable[[Dict[str, Any]], None]] = None,
     ):
-        require_series(store, "the run cache")
         self.store = store
         self.stats = CacheStats()
         self.on_event = on_event
@@ -107,7 +104,7 @@ class RunCache:
         rows_for_digests = getattr(self.store, "rows_for_digests", None)
         if rows_for_digests is not None:
             return list(rows_for_digests(digests))
-        # Flat-file fallback: full scan, size approximated from the row.
+        # JSONL store: full scan, size approximated from the row.
         import json
 
         return [
@@ -130,8 +127,8 @@ class RunCache:
         plain execution would return, with hits read instead of computed.
         Misses are appended to the cache's own database as they finish
         (an interrupted campaign keeps its completed cells, and a re-run
-        serves them as hits); ``store`` (the caller's ``--store`` target,
-        if any) still receives *every* result in grid order.
+        serves them as hits); ``store`` (the caller's own store, if any)
+        still receives *every* result in grid order.
 
         ``executor`` (anything :func:`repro.api.campaign.resolve_executor`
         accepts; ``None`` consults the ambient :func:`~repro.api.use_executor`,

@@ -1,8 +1,8 @@
 """The SQLite-backed result database: :class:`DbResultStore`.
 
 Implements the same ``append`` / ``extend`` / ``load`` / iterate interface
-as the flat-file :class:`repro.api.ResultStore`, so everything that takes
-a store (``Campaign.run(store=...)``, the CLI's ``--store`` / ``--from``)
+as the JSONL :class:`repro.api.ResultStore`, so everything that takes a
+store (``Campaign.run(store=...)``, the CLI's ``--cache`` / ``--from``)
 works against a database unchanged — plus what a real database adds:
 
 * **indexed reads** — rows keyed by ``(experiment, config_digest, seed)``
@@ -11,9 +11,10 @@ works against a database unchanged — plus what a real database adds:
 * **WAL mode** — concurrent readers see a consistent snapshot while a
   campaign is appending (the server's query endpoints run during jobs);
 * **schema migrations** — the file records its schema version and older
-  files upgrade in place (see :mod:`repro.service.migrations`);
-* **import/export** — one call (or ``repro-caem migrate``) moves an
-  existing JSONL/CSV store into a database and back.
+  files upgrade in place (see :mod:`repro.service.migrations`).
+
+``repro-caem migrate`` copies rows between a JSONL store and a database
+in either direction (``load`` from one, ``extend`` the other).
 
 Full fidelity is preserved: each row stores the complete
 :meth:`RunResult.to_dict` JSON payload (time series included), byte-equal
@@ -42,7 +43,7 @@ from ..api.store import STORE_FORMAT_VERSION, ResultStore, check_format_version
 from ..errors import ExperimentError
 from .migrations import ensure_schema
 
-__all__ = ["DbResultStore", "open_store", "require_series", "DB_SUFFIXES"]
+__all__ = ["DbResultStore", "open_store", "DB_SUFFIXES"]
 
 #: File suffixes routed to the SQLite backend by :func:`open_store`.
 DB_SUFFIXES = (".sqlite", ".sqlite3", ".db")
@@ -52,22 +53,12 @@ def open_store(path: Union[str, Path]) -> Union[ResultStore, "DbResultStore"]:
     """Open the right store backend for ``path`` by suffix.
 
     ``.sqlite`` / ``.sqlite3`` / ``.db`` → :class:`DbResultStore`;
-    ``.jsonl`` / ``.csv`` → :class:`repro.api.ResultStore`.
+    ``.jsonl`` → :class:`repro.api.ResultStore`.  Any other suffix is
+    refused before a file is created.
     """
     if Path(path).suffix.lower() in DB_SUFFIXES:
         return DbResultStore(path)
     return ResultStore(path)
-
-
-def require_series(store, role: str) -> None:
-    """Refuse a CSV store where stored rows must render like simulated
-    ones: CSV rows are scalar-only, so a series figure would be empty."""
-    if store.format == "csv":
-        raise ExperimentError(
-            f"{role} needs a .jsonl store or a .sqlite result database: "
-            f"CSV stores are scalar-only (time series dropped), so series "
-            f"figures would render empty"
-        )
 
 
 class DbResultStore:
@@ -223,86 +214,6 @@ class DbResultStore:
                 for fv, payload in conn.execute(sql, params)
             ]
 
-    #: Scalar key columns that aggregation can GROUP BY / filter without
-    #: touching the JSON payload.
-    KEY_COLUMNS = (
-        "experiment",
-        "protocol",
-        "load_pps",
-        "seed",
-        "horizon_s",
-        "n_nodes",
-        "config_digest",
-    )
-
-    def aggregate(
-        self,
-        group_by: Sequence[str],
-        metrics: Sequence[str],
-        agg: str = "mean",
-        experiment: Optional[str] = None,
-        config_digest: Optional[str] = None,
-        seed: Optional[int] = None,
-        protocol: Optional[str] = None,
-    ) -> List[dict]:
-        """Aggregation pushdown: group + reduce inside SQLite.
-
-        Group keys must be scalar key columns (:data:`KEY_COLUMNS`);
-        metric fields are pulled out of the JSON payload with
-        ``json_extract``, so only the reduced rows — not the full
-        payloads — ever leave the database.  ``agg`` is one of
-        ``mean`` / ``min`` / ``max`` / ``sum``; SQL aggregates skip
-        NULL (missing/None metrics), matching the Python fallback in
-        :func:`repro.service.query.aggregate_runs`.
-
-        Raises :class:`sqlite3.OperationalError` when the linked SQLite
-        lacks the JSON1 functions — callers fall back to Python then.
-        """
-        sql_fn = {"mean": "AVG", "min": "MIN", "max": "MAX", "sum": "SUM"}
-        if agg not in sql_fn:
-            raise ExperimentError(
-                f"unknown aggregate {agg!r} (know {', '.join(sql_fn)})"
-            )
-        for key in group_by:
-            if key not in self.KEY_COLUMNS:
-                raise ExperimentError(
-                    f"cannot group by {key!r}: pushdown group keys are "
-                    f"{', '.join(self.KEY_COLUMNS)}"
-                )
-        selects = list(group_by) + ["COUNT(*)"]
-        for field in metrics:
-            if not field.isidentifier():
-                raise ExperimentError(f"bad metric field name {field!r}")
-            selects.append(
-                f"{sql_fn[agg]}(CAST(json_extract(payload, "
-                f"'$.{field}') AS REAL))"
-            )
-        clauses, params = [], []
-        for column, value in (
-            ("experiment", experiment),
-            ("config_digest", config_digest),
-            ("seed", seed),
-            ("protocol", protocol),
-        ):
-            if value is not None:
-                clauses.append(f"{column} = ?")
-                params.append(value)
-        sql = f"SELECT {', '.join(selects)} FROM runs"
-        if clauses:
-            sql += " WHERE " + " AND ".join(clauses)
-        if group_by:
-            sql += f" GROUP BY {', '.join(group_by)}"
-            sql += f" ORDER BY {', '.join(group_by)}"
-        out: List[dict] = []
-        with self._connect() as conn:
-            for row in conn.execute(sql, params):
-                record = dict(zip(group_by, row))
-                record["n"] = int(row[len(group_by)])
-                for j, field in enumerate(metrics):
-                    record[field] = row[len(group_by) + 1 + j]
-                out.append(record)
-        return out
-
     def rows_for_digests(
         self, digests: Iterable[str]
     ) -> List[Tuple[RunResult, int]]:
@@ -329,24 +240,6 @@ class DbResultStore:
                 for fv, payload in cursor:
                     out.append((self._decode(fv, payload), len(payload.encode())))
         return out
-
-    # -- import / export -------------------------------------------------------
-
-    def import_from(self, store: Union[str, Path, ResultStore]) -> int:
-        """Bulk-load every row of a JSONL/CSV store; returns the count."""
-        if not isinstance(store, ResultStore):
-            store = ResultStore(store)
-        runs = store.load()
-        self.extend(runs)
-        return len(runs)
-
-    def export_to(self, store: Union[str, Path, ResultStore]) -> int:
-        """Write every row out to a JSONL/CSV store; returns the count."""
-        if not isinstance(store, ResultStore):
-            store = ResultStore(store)
-        runs = self.load()
-        store.extend(runs)
-        return len(runs)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DbResultStore({str(self.path)!r})"

@@ -117,7 +117,7 @@ def build_server(
 
 
 class _MemoryRows:
-    """An in-memory row list behind the plain-store aggregate interface."""
+    """An in-memory row list behind the JSONL store's ``load`` interface."""
 
     def __init__(self, rows):
         self._rows = list(rows)
@@ -360,8 +360,8 @@ class _Handler(BaseHTTPRequestHandler):
         ``GET /campaigns/<id>/agg?agg=mean&group_by=protocol,load`` —
         the server-side equivalent of ``repro-caem query --agg``,
         reusing :func:`~repro.service.query.aggregate_runs`: experiment
-        jobs push the whole reduction into SQL via the store's
-        ``aggregate``; grid jobs scope the database to the job's own
+        jobs reduce the database's rows of that experiment (an indexed
+        key filter); grid jobs scope the database to the job's own
         config digests first (recorded at submit time), then reduce.
         """
         def one(name: str, default: Optional[str] = None) -> Optional[str]:

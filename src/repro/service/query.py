@@ -2,9 +2,9 @@
 
 Key filters (experiment / digest / seed / protocol) push down into the
 database indexes when the store is a :class:`~repro.service.DbResultStore`;
-metric predicates (``--where delivery_rate>0.9``) evaluate in Python on
-the decoded rows, so they work identically against JSONL/CSV stores and
-need no SQLite JSON extension.
+metric predicates (``--where delivery_rate>0.9``) and ``--agg``
+reductions run in Python on the decoded rows, in insertion order, so a
+database and its ``migrate``d JSONL copy print the same bytes.
 """
 
 from __future__ import annotations
@@ -52,9 +52,8 @@ DEFAULT_AGG_METRICS = (
 #: CLI shorthand for group keys: ``--group-by protocol,load``.
 GROUP_ALIASES = {"load": "load_pps", "nodes": "n_nodes"}
 
-#: Group keys the SQL pushdown supports (scalar key columns of the runs
-#: table); the Python fallback accepts the same set so JSONL/CSV stores
-#: and databases answer identically.
+#: Group keys: the scalar columns that say which cell a row belongs to
+#: (the key columns of the database's runs table), never a metric.
 _GROUP_COLUMNS = (
     "experiment",
     "protocol",
@@ -216,11 +215,9 @@ def aggregate_runs(
     (``None`` when every row's metric is None — e.g. lifetime on runs
     nothing died in; None metrics are skipped, not zero-filled).
 
-    Against a :class:`~repro.service.DbResultStore` the whole reduction
-    pushes down into SQL (``json_extract`` + ``GROUP BY``) so only the
-    reduced rows leave the database; JSONL/CSV stores — and any query
-    with Python-side ``where`` predicates — reduce over decoded rows
-    with identical semantics.
+    Every store reduces the same way: the rows :func:`query_runs`
+    returns, in insertion order, through one Python reducer.  Integer
+    fields stay integers, and a ``sum`` adds in insertion order.
     """
     if agg not in _AGG_FUNCS:
         raise ExperimentError(
@@ -235,22 +232,6 @@ def aggregate_runs(
                 f"unknown RunResult field {field!r}; known fields: "
                 f"{', '.join(sorted(_RESULT_FIELDS))}"
             )
-    if not where and hasattr(store, "aggregate"):
-        import sqlite3
-
-        try:
-            return store.aggregate(
-                group_by,
-                metrics,
-                agg=agg,
-                experiment=experiment,
-                config_digest=config_digest,
-                seed=seed,
-                protocol=protocol,
-            )
-        except sqlite3.OperationalError:
-            # SQLite built without JSON1 — reduce in Python instead.
-            pass
     runs = query_runs(
         store,
         experiment=experiment,
@@ -265,7 +246,8 @@ def aggregate_runs(
         groups.setdefault(key, []).append(run)
     reduce = _AGG_FUNCS[agg]
     out: List[dict] = []
-    # NULL-first ordering, matching SQLite's ORDER BY.
+    # A None key (e.g. an unstamped experiment) sorts first, then keys
+    # sort by value: the group order ``query --agg`` has always printed.
     for key in sorted(groups, key=lambda k: tuple((v is not None, v) for v in k)):
         rows = groups[key]
         record = dict(zip(group_by, key))

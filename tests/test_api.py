@@ -184,17 +184,6 @@ class TestResultStore:
         loaded = ResultStore(tmp_path / "runs.jsonl").load()
         assert loaded == runs  # full fidelity, time series included
 
-    def test_csv_scalar_roundtrip(self, tmp_path):
-        run = _smoke().run()
-        store = ResultStore(tmp_path / "runs.csv")
-        store.append(run)
-        (loaded,) = ResultStore(tmp_path / "runs.csv").load()
-        assert loaded.protocol == run.protocol
-        assert loaded.seed == run.seed
-        assert loaded.delivered == run.delivered
-        assert loaded.total_consumed_j == pytest.approx(run.total_consumed_j)
-        assert loaded.mean_energy_j == []  # series are dropped by CSV
-
     def test_unknown_suffix_rejected(self, tmp_path):
         with pytest.raises(ExperimentError):
             ResultStore(tmp_path / "runs.parquet")

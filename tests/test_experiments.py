@@ -156,6 +156,7 @@ class TestCli:
         ("run", "fig8", "--cell-timeout", "5"),
         ("serve", "--jobs", "2"),
         ("run", "fig8", "--resume"),
+        ("run", "fig8", "--store", "x.jsonl"),
     ])
     def test_removed_execution_flags_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

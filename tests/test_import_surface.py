@@ -115,7 +115,7 @@ def smoke_store(tmp_path_factory):
     workdir = tmp_path_factory.mktemp("all")
     db = workdir / "all.sqlite"
     _python("-m", "repro", "run", "all", "--preset", "smoke",
-            "--executor", "pool:2", "--store", str(db), cwd=workdir)
+            "--executor", "pool:2", "--cache", str(db), cwd=workdir)
     return db
 
 

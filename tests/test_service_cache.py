@@ -84,8 +84,8 @@ class TestRunCache:
         assert cache.stats.misses == 2
 
     def test_cached_rows_round_trip_through_user_store(self, tmp_path):
-        """--store semantics survive the cache: every result (hit or
-        miss) reaches the caller's store, in grid order."""
+        """A caller's own store behind the cache receives every result
+        (hit or miss), in grid order."""
         db = DbResultStore(tmp_path / "runs.sqlite")
         _campaign().run(cache=RunCache(db))
         out = ResultStore(tmp_path / "out.jsonl")
@@ -106,18 +106,17 @@ class TestRunCache:
             [b.to_dict() for b in r2.runs]
 
     def test_csv_store_is_refused(self, tmp_path, capsys):
-        """CSV rows are scalar-only: a warm pass would render series
-        figures empty, so the cache refuses the store up front, for API
-        callers and ``--cache`` alike."""
+        """A result store is JSONL or SQLite: ``--cache c.csv`` is
+        refused at open, before anything simulates or a file exists."""
         from repro.cli import main
 
-        with pytest.raises(ExperimentError, match="scalar-only"):
-            RunCache(ResultStore(tmp_path / "runs.csv"))
+        with pytest.raises(ExperimentError, match="unsupported store format"):
+            ResultStore(tmp_path / "runs.csv")
         code = main(["run", "fig8", "--preset", "smoke", "--seeds", "1",
                      "--cache", str(tmp_path / "c.csv")])
         assert code == 1
-        assert "scalar-only" in capsys.readouterr().err
-        assert not (tmp_path / "c.csv").exists()
+        assert "unsupported store format '.csv'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_events_emitted_in_both_paths(self, tmp_path):
         db = DbResultStore(tmp_path / "runs.sqlite")

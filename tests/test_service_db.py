@@ -23,6 +23,7 @@ from repro.service.migrations import MIGRATIONS
 def _run(seed=1, digest="d" * 64, experiment=None, protocol="scheme1",
          load=5.0, **extra):
     extra.setdefault("delivery_rate", 0.9)
+    extra.setdefault("delivered", 90)
     return RunResult(
         protocol=protocol,
         seed=seed,
@@ -35,7 +36,6 @@ def _run(seed=1, digest="d" * 64, experiment=None, protocol="scheme1",
         mean_energy_j=[0.5, 0.25, 0.125],
         alive_counts=[12, 12, 11],
         generated=100,
-        delivered=90,
         **extra,
     )
 
@@ -45,11 +45,25 @@ class TestOpenStore:
         assert isinstance(open_store(tmp_path / "a.sqlite"), DbResultStore)
         assert isinstance(open_store(tmp_path / "a.db"), DbResultStore)
         assert isinstance(open_store(tmp_path / "a.jsonl"), ResultStore)
-        assert isinstance(open_store(tmp_path / "a.csv"), ResultStore)
+        with pytest.raises(ExperimentError, match="unsupported store format"):
+            open_store(tmp_path / "a.csv")
+        assert not (tmp_path / "a.csv").exists()
 
     def test_bad_suffix_refused(self, tmp_path):
         with pytest.raises(ExperimentError, match="suffix"):
             DbResultStore(tmp_path / "a.txt")
+
+    def test_migrate_into_csv_is_refused_and_creates_nothing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        DbResultStore("a.sqlite").append(_run())
+        before = sorted(tmp_path.iterdir())
+        assert main(["migrate", "a.sqlite", "b.csv"]) == 1
+        assert "unsupported store format '.csv'" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
 
 
 class TestReadOnlyCommands:
@@ -123,12 +137,11 @@ class TestDbResultStore:
         jsonl = ResultStore(tmp_path / "runs.jsonl")
         jsonl.extend([_run(seed=s, digest=f"{s:064x}") for s in (1, 2)])
         db = DbResultStore(tmp_path / "runs.sqlite")
-        assert db.import_from(jsonl) == 2
+        db.extend(jsonl.load())
         assert [r.to_dict() for r in db] == [r.to_dict() for r in jsonl]
-        out = tmp_path / "export.jsonl"
-        assert db.export_to(out) == 2
-        assert [r.to_dict() for r in ResultStore(out)] == \
-            [r.to_dict() for r in db]
+        out = ResultStore(tmp_path / "export.jsonl")
+        out.extend(db.load())
+        assert [r.to_dict() for r in out] == [r.to_dict() for r in db]
 
     def test_wal_mode_enabled(self, tmp_path):
         store = DbResultStore(tmp_path / "runs.sqlite")
@@ -228,9 +241,9 @@ class TestQueryRuns:
             where=[parse_predicate("delivery_rate>0.9")],
         )
         assert [r.seed for r in rows] == [1]
-        # Same result off a flat-file store (no pushdown path).
+        # Same result off a JSONL store (no indexed key filter).
         jsonl = ResultStore(tmp_path / "runs.jsonl")
-        store.export_to(jsonl)
+        jsonl.extend(store.load())
         rows2 = query_runs(
             jsonl, experiment="fig8",
             where=[parse_predicate("delivery_rate>0.9")],
@@ -301,30 +314,86 @@ class TestAggregation:
         store.extend(rows)
         return rows
 
+    def _order_sensitive(self, store):
+        """Rows whose float sum depends on the order it is taken in.
+
+        Inserted as 0.1, 0.2, 0.3; the database's experiment index holds
+        them by digest, as 0.3, 0.2, 0.1, and
+        ``(0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1`` in plain float
+        addition.  ``delivered`` is an integer field.
+        """
+        store.extend([
+            _run(seed=1, digest="c" * 64, experiment="fig8",
+                 first_death_s=0.1, delivered=11117),
+            _run(seed=1, digest="b" * 64, experiment="fig8",
+                 first_death_s=0.2, delivered=9000),
+            _run(seed=1, digest="a" * 64, experiment="fig8",
+                 first_death_s=0.3, delivered=10001),
+        ])
+
     def test_sql_and_python_paths_agree(self, tmp_path):
+        """A database and its JSONL copy reduce to equal groups: one
+        reducer, rows in insertion order, integers kept as integers."""
         from repro.service import aggregate_runs
 
         db = DbResultStore(tmp_path / "r.sqlite")
         self._populate(db)
+        self._order_sensitive(db)
         flat = ResultStore(tmp_path / "r.jsonl")
         flat.extend(db.load())
-        for agg in ("mean", "min", "max", "sum"):
-            via_sql = aggregate_runs(
-                db, ["protocol"], agg=agg,
-                metrics=["delivery_rate", "mean_delay_s"],
-            )
-            via_python = aggregate_runs(
-                flat, ["protocol"], agg=agg,
-                metrics=["delivery_rate", "mean_delay_s"],
-            )
-            assert len(via_sql) == len(via_python) == 2
-            for a, b in zip(via_sql, via_python):
-                assert a["protocol"] == b["protocol"]
-                assert a["n"] == b["n"] == 3
-                assert a["delivery_rate"] == pytest.approx(
-                    b["delivery_rate"]
+        for group_by in (["protocol"], ["experiment"]):
+            for agg in ("mean", "min", "max", "sum"):
+                from_db = aggregate_runs(
+                    db, group_by, agg=agg,
+                    metrics=["delivery_rate", "first_death_s", "delivered"],
                 )
-                assert a["mean_delay_s"] == pytest.approx(b["mean_delay_s"])
+                from_jsonl = aggregate_runs(
+                    flat, group_by, agg=agg,
+                    metrics=["delivery_rate", "first_death_s", "delivered"],
+                )
+                assert from_db == from_jsonl
+                if agg != "mean":
+                    assert all(
+                        isinstance(g["delivered"], int) for g in from_db
+                    )
+        (fig8,) = [
+            g for g in aggregate_runs(
+                db, ["experiment"], agg="sum", metrics=["first_death_s"]
+            )
+            if g["experiment"] == "fig8"
+        ]
+        assert fig8["first_death_s"] == sum([0.1, 0.2, 0.3])
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            ("--agg", "max", "--group-by", "protocol",
+             "--columns", "delivered"),
+            ("--agg", "sum", "--group-by", "experiment",
+             "--columns", "first_death_s", "delivered"),
+        ],
+        ids=["max-int", "sum-float"],
+    )
+    @pytest.mark.parametrize("out_format", ["table", "jsonl"])
+    def test_cli_agg_prints_the_same_bytes_from_a_database_and_its_copy(
+        self, tmp_path, monkeypatch, capsys, options, out_format
+    ):
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        db = DbResultStore("r.sqlite")
+        self._populate(db)
+        self._order_sensitive(db)
+        assert main(["migrate", "r.sqlite", "r.jsonl"]) == 0
+        capsys.readouterr()
+        printed = []
+        for store in ("r.sqlite", "r.jsonl"):
+            argv = ["query", store, *options, "--format", out_format]
+            assert main(argv) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        if options[1] == "max":
+            assert "11117" in printed[0]
 
     def test_mean_over_seeds(self, tmp_path):
         from repro.service import aggregate_runs
@@ -348,7 +417,7 @@ class TestAggregation:
         (grp,) = aggregate_runs(
             db, ["protocol"], agg="mean", metrics=["lifetime_s"]
         )
-        # SQL AVG and the Python fallback both skip NULL/None.
+        # None metrics are skipped, not counted as zero.
         assert grp["lifetime_s"] == pytest.approx(30.0)
         assert grp["n"] == 2
 

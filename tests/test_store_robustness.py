@@ -42,24 +42,29 @@ def _populated(tmp_path, scenarios):
     return store, runs
 
 
+def _tear_last_line(path):
+    """Cut the file mid-way through its final record, as a writer killed
+    mid-append leaves it."""
+    raw = path.read_bytes()
+    path.write_bytes(raw[: len(raw) - len(raw.splitlines()[-1]) // 2 - 1])
+
+
 class TestTornTail:
     def test_truncated_trailing_record_is_tolerated(self, tmp_path):
         """A crash mid-append leaves a torn final line; the reader serves
         every completed row instead of refusing the whole file."""
         scenarios = _scenarios()
         store, runs = _populated(tmp_path, scenarios)
-        raw = store.path.read_bytes()
-        assert raw.endswith(b"\n")
-        # Chop the file mid-way through the final record.
-        store.path.write_bytes(raw[: len(raw) - len(raw.splitlines()[-1]) // 2 - 1])
+        assert store.path.read_bytes().endswith(b"\n")
+        _tear_last_line(store.path)
         survivors = store.load()
         assert len(survivors) == len(runs) - 1
         assert [r.to_dict() for r in survivors] == \
             [r.to_dict() for r in runs[:-1]]
 
     def test_append_after_torn_tail_would_be_detected(self, tmp_path):
-        """Only a torn *final* line is forgiven: corruption mid-file (a
-        torn line that got appended over) still raises loudly."""
+        """Only a torn *final* line is forgiven: a corrupt line mid-file
+        still raises loudly (``extend`` never writes one; see below)."""
         store, runs = _populated(tmp_path, _scenarios(n_seeds=1))
         lines = store.path.read_text().splitlines(keepends=True)
         lines[0] = lines[0][: len(lines[0]) // 2].rstrip("\n") + "\n"
@@ -71,6 +76,57 @@ class TestTornTail:
         store = ResultStore(tmp_path / "runs.jsonl")
         store.path.write_text("\n")
         assert store.load() == []
+
+    def test_append_after_torn_tail_keeps_the_store_readable(self, tmp_path):
+        """A resumed campaign appends after the torn line a killed writer
+        left: the fragment is cut off, not fused into the new record."""
+        scenarios = _scenarios()
+        store, runs = _populated(tmp_path, scenarios)
+        _tear_last_line(store.path)
+        served = store.load()
+        assert len(served) == len(runs) - 1
+
+        store.extend(runs[-1:])
+        assert [r.to_dict() for r in store.load()] == \
+            [r.to_dict() for r in served + runs[-1:]]
+        assert store.path.read_bytes().endswith(b"\n")
+        # A second append lands on a clean line boundary too.
+        store.extend(runs[:1])
+        assert len(store.load()) == len(runs) + 1
+
+    def test_append_after_unterminated_last_record_keeps_it(self, tmp_path):
+        """A complete last record that lacks only its newline is served
+        before an append and stays served after it."""
+        store, runs = _populated(tmp_path, _scenarios())
+        store.path.write_bytes(store.path.read_bytes().rstrip(b"\n"))
+        assert len(store.load()) == len(runs)
+
+        store.extend(runs[:1])
+        assert [r.to_dict() for r in store.load()] == \
+            [r.to_dict() for r in runs + runs[:1]]
+
+    def test_cached_resume_after_torn_tail(self, tmp_path):
+        """The run cache over a JSONL store resumes after a torn tail:
+        the re-run simulates only the torn cell, and the pass after it
+        is served wholly from the store."""
+        from repro.service import RunCache
+
+        scenarios = _scenarios()
+        store, runs = _populated(tmp_path, scenarios)
+        _tear_last_line(store.path)
+
+        resumed = RunCache(store)
+        resumed.execute(scenarios)
+        assert (resumed.stats.hits, resumed.stats.misses) == (
+            len(runs) - 1, 1
+        )
+        warm = RunCache(ResultStore(store.path))
+        served = warm.execute(scenarios)
+        assert (warm.stats.hits, warm.stats.misses) == (len(runs), 0)
+        for a, b in zip(runs, served):
+            da, db = a.to_dict(), b.to_dict()
+            da.pop("wall_time_s"), db.pop("wall_time_s")
+            assert da == db
 
 
 class TestFormatVersion:
@@ -90,27 +146,15 @@ class TestFormatVersion:
         store.path.write_text("\n".join(stripped) + "\n")
         assert len(store.load()) == len(runs)
 
-    @pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
-    def test_newer_rows_refused_with_upgrade_hint(self, tmp_path, suffix):
-        store = ResultStore(tmp_path / f"runs{suffix}")
+    def test_newer_rows_refused_with_upgrade_hint(self, tmp_path):
+        store = ResultStore(tmp_path / "runs.jsonl")
         scenarios = _scenarios(n_seeds=1)
         from repro.api import run_scenarios
 
         run_scenarios(scenarios[:1], store=store)
-        if suffix == ".jsonl":
-            record = json.loads(store.path.read_text())
-            record["format_version"] = 99
-            store.path.write_text(json.dumps(record) + "\n")
-        else:
-            import csv as csv_mod
-
-            with store.path.open(newline="") as fh:
-                rows = list(csv_mod.reader(fh))
-            version_col = rows[0].index("format_version")
-            for row in rows[1:]:
-                row[version_col] = "99"
-            with store.path.open("w", newline="") as fh:
-                csv_mod.writer(fh).writerows(rows)
+        record = json.loads(store.path.read_text())
+        record["format_version"] = 99
+        store.path.write_text(json.dumps(record) + "\n")
         with pytest.raises(ExperimentError, match="upgrade"):
             store.load()
 
