@@ -7,13 +7,13 @@ decisive discriminator — sweep cells that differ only inside a sub-config
 (churn rate, sink offset, network size, ...) share every scalar coordinate
 but can never silently fill each other's slot.
 
-This module is the single home of that pairing logic.  It serves three
+This module is the single home of that pairing logic.  It serves two
 consumers:
 
-* :func:`repro.experiments.figures._resolve_runs` — ``--from`` re-rendering
-  (all cells must pair, every missing cell is reported);
 * :class:`repro.service.cache.RunCache` — the content-addressed run cache
-  (paired cells are served from the database, missing cells are simulated);
+  (paired cells are served from the database, missing cells are
+  simulated; under :func:`repro.service.replay`, the ``--from``
+  re-renderer, every missing cell is reported instead);
 * ad-hoc tools that need to ask "which of these scenarios does this store
   already cover?".
 """

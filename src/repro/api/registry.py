@@ -4,7 +4,7 @@ Experiments — the paper's figures and tables, and any extension study —
 register themselves with the :func:`experiment` decorator::
 
     @experiment("fig9", kind="figure")
-    def fig9_nodes_alive(preset="quick", seeds=(1,), runs=None):
+    def fig9_nodes_alive(preset="quick", seeds=(1,)):
         ...
 
 and the CLI (``repro-caem list`` / ``repro-caem run <name>``), the

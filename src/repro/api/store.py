@@ -13,8 +13,9 @@ fidelity (time series included), round-tripping exactly through
 :meth:`RunResult.to_dict`/:meth:`RunResult.from_dict`.
 
 (The SQLite-backed :class:`repro.service.DbResultStore` implements the
-same append/extend/load/iterate interface with indexed reads; use
-:func:`repro.service.open_store` to pick the backend by suffix.)
+same append/extend/load/iterate/``rows_for_digests`` interface with
+indexed reads; use :func:`repro.service.open_store` to pick the backend
+by suffix.)
 
 Durability: JSONL appends are write-then-flush-then-fsync, and the reader
 tolerates a torn trailing record (a writer killed mid-append leaves a
@@ -35,7 +36,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import IO, Any, Iterator, List, Sequence, Union
+from typing import IO, Any, Dict, Iterable, Iterator, List, Sequence, Tuple, Union
 
 from ..errors import ExperimentError
 from .result import RunResult
@@ -185,6 +186,29 @@ class ResultStore:
         return list(self)
 
     def __iter__(self) -> Iterator[RunResult]:
+        for record in self._records():
+            yield RunResult.from_dict(record)
+
+    def rows_for_digests(
+        self, digests: Iterable[str]
+    ) -> List[Tuple[RunResult, int]]:
+        """Cache read path: ``(run, payload_bytes)`` for these digests.
+
+        One pass over the file, in file order; only the rows asked for
+        become :class:`RunResult` objects.  The size is the row's JSON
+        without its ``format_version``, the payload a
+        :class:`~repro.service.DbResultStore` holds for the same row.
+        """
+        wanted = set(digests)
+        return [
+            (RunResult.from_dict(record), len(json.dumps(record).encode()))
+            for record in self._records()
+            if record.get("config_digest") in wanted
+        ]
+
+    def _records(self) -> Iterator[Dict[str, Any]]:
+        """Every stored row as parsed JSON, ``format_version`` checked
+        and removed (nothing if the file is absent)."""
         if not self.path.exists():
             return
         with self.path.open() as fh:
@@ -208,7 +232,7 @@ class ResultStore:
                 check_format_version(
                     data.pop("format_version", None), self.path
                 )
-                yield RunResult.from_dict(data)
+                yield data
 
     def __len__(self) -> int:
         return sum(1 for _ in self)

@@ -140,11 +140,6 @@ class RayleighFading:
 
     # -- sampling --------------------------------------------------------------
 
-    @property
-    def last_time(self) -> float:
-        """Time of the most recent sample."""
-        return self._time
-
     def rebind(self, start_time_s: float) -> None:
         """Restart the process as construction would, on the current cache.
 

@@ -75,11 +75,6 @@ class GaussMarkovShadowing:
             self._normals.normal(0.0, self.sigma_db) if sigma_db > 0 else 0.0
         )
 
-    @property
-    def last_time(self) -> float:
-        """Time of the most recent sample."""
-        return self._time
-
     def rebind(self, start_time_s: float) -> None:
         """Restart the process as construction would, on the current cache.
 

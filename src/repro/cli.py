@@ -15,8 +15,10 @@ table, or extension study shows up automatically::
 
 ``--cache PATH`` is the one flag that writes a result store: it serves
 grid cells the store already holds, simulates the rest and appends each
-as it settles.  The service tier (see :mod:`repro.service`) adds the
-result database and the campaign server::
+as it settles.  ``--from PATH`` reads the same way but never simulates
+or writes (:func:`repro.service.replay`): a cell the store lacks is an
+error naming every missing cell.  The service tier (see
+:mod:`repro.service`) adds the result database and the campaign server::
 
     repro-caem run fig10 --cache results.sqlite   # repeat = pure reads
     repro-caem run fig10 --cache results.sqlite --executor supervised
@@ -43,6 +45,7 @@ alias for ``run fig8 ...``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import List, Optional, Sequence
 
@@ -400,7 +403,7 @@ def _open_existing_store(path: str):
 
 
 def _cmd_run_body(args: argparse.Namespace) -> int:
-    from .service import RunCache, open_store
+    from .service import RunCache, open_store, replay
 
     names = (
         _known_names() if args.experiment == "all" else [args.experiment]
@@ -410,11 +413,14 @@ def _cmd_run_body(args: argparse.Namespace) -> int:
             "--cache and --from are mutually exclusive: --cache "
             "already reads stored cells and simulates only the misses"
         )
-    stored_runs = None
-    if args.from_store:
-        stored_runs = _open_existing_store(args.from_store).load()
+    # Under --from the --executor backend is still built, but replay's
+    # executor, which never simulates, is the one every grid runs on.
+    replaying = (
+        replay(_open_existing_store(args.from_store))
+        if args.from_store else contextlib.nullcontext()
+    )
     cache = RunCache(open_store(args.cache)) if args.cache else None
-    with use_run_cache(cache), use_executor(args.executor):
+    with use_run_cache(cache), use_executor(args.executor), replaying:
         for name in names:
             spec = get_experiment(name)
             figure = spec.run(
@@ -423,7 +429,6 @@ def _cmd_run_body(args: argparse.Namespace) -> int:
                 loads_pps=tuple(args.loads),
                 backend=args.backend,
                 profile_rounds=args.profile_rounds,
-                runs=stored_runs,
             )
             sys.stdout.write(figure.render())
             sys.stdout.write("\n")
@@ -588,13 +593,17 @@ def _cmd_gc(args: argparse.Namespace) -> int:
 
 
 def _cmd_migrate(args: argparse.Namespace) -> int:
+    from pathlib import Path
+
     from .service import open_store
 
+    # SRC is read in full before DST is opened: opening a database
+    # creates it, and a SRC that fails to read must leave nothing behind.
     src = _open_existing_store(args.src)
-    dst = open_store(args.dst)
-    if src.path.resolve() == dst.path.resolve():
+    if src.path.resolve() == Path(args.dst).resolve():
         raise ExperimentError("SRC and DST name the same file")
     runs = src.load()
+    dst = open_store(args.dst)
     dst.extend(runs)
     sys.stdout.write(
         f"migrated {len(runs)} runs: {src.path} ({src.format}) -> "

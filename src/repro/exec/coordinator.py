@@ -14,6 +14,7 @@ The wire protocol is four stdlib-only JSON endpoints in front of a
 standalone :class:`CoordinatorServer` below (what ``--executor
 distributed`` self-hosts from the CLI) and the campaign server's handler
 (``repro-caem serve --distributed``), which delegates ``/work/*`` here.
+Both hosts read request bodies with :func:`read_json_body`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,55 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 
 from .board import LeaseBoard
 
-__all__ = ["handle_work", "CoordinatorServer", "start_coordinator"]
+__all__ = [
+    "HttpError",
+    "handle_work",
+    "read_json_body",
+    "CoordinatorServer",
+    "start_coordinator",
+]
+
+#: Request bodies are small JSON objects (a campaign spec, a lease
+#: request, one result payload of a few KB); bigger ones are refused.
+MAX_BODY_BYTES = 1 << 20
+
+
+class HttpError(Exception):
+    """An error with a specific HTTP status (400, 404, 413, ...)."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
+
+def read_json_body(handler: BaseHTTPRequestHandler) -> Dict[str, Any]:
+    """The JSON object a request carries, or :class:`HttpError`.
+
+    A missing, malformed or non-positive ``Content-Length`` is a 400
+    before any byte is read, and one over :data:`MAX_BODY_BYTES` a 413.
+    """
+    try:
+        length = int(handler.headers.get("Content-Length") or 0)
+    except ValueError:
+        raise HttpError(
+            400, "malformed Content-Length header (expected an integer)"
+        ) from None
+    if length <= 0:
+        raise HttpError(400, "request body required (a JSON object)")
+    if length > MAX_BODY_BYTES:
+        raise HttpError(
+            413,
+            f"request body too large ({length} bytes; the limit is "
+            f"{MAX_BODY_BYTES}) — requests are small JSON objects",
+        )
+    raw = handler.rfile.read(length)
+    try:
+        data = json.loads(raw)
+    except ValueError as exc:
+        raise HttpError(400, f"request body is not JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise HttpError(400, "request body must be a JSON object")
+    return data
 
 
 def handle_work(
@@ -83,8 +132,6 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-coordinator/1"
     protocol_version = "HTTP/1.1"
-    # 1 MB cap — a result payload is a few KB; anything bigger is a bug.
-    max_body = 1_000_000
 
     def log_message(self, fmt, *args):  # noqa: D102 - quiet by default
         if not getattr(self.server, "quiet", True):
@@ -100,17 +147,11 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
 
     def _dispatch(self, method: str) -> None:
         parts = [p for p in self.path.split("?", 1)[0].split("/") if p]
-        body = None
-        if method == "POST":
-            length = int(self.headers.get("Content-Length") or 0)
-            if length > self.max_body:
-                self._respond(413, {"error": "request body too large"})
-                return
-            try:
-                body = json.loads(self.rfile.read(length) or b"{}")
-            except (ValueError, UnicodeDecodeError):
-                self._respond(400, {"error": "request body is not JSON"})
-                return
+        try:
+            body = read_json_body(self) if method == "POST" else None
+        except HttpError as exc:
+            self._respond(exc.status, {"error": str(exc)})
+            return
         try:
             routed = handle_work(self.server.board, method, parts, body)
         except Exception as exc:  # noqa: BLE001 - keep the server alive

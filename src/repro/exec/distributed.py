@@ -44,10 +44,11 @@ import subprocess
 import sys
 from typing import Any, List, Optional, Sequence, Tuple
 
+from ..api.result import RunResult
 from .base import CampaignExecutor, CellFailure, ExecutionHooks
 from .board import LeaseBoard, settle
 from .spec import ExecutorSpec
-from .wire import result_from_wire, scenario_to_wire
+from .wire import scenario_to_wire
 
 __all__ = ["DistributedExecutor"]
 
@@ -121,7 +122,7 @@ class DistributedExecutor(CampaignExecutor):
         return settle(
             board, scenarios, [scenario_to_wire(sc) for sc in scenarios],
             hooks or ExecutionHooks(), self.spec.max_attempts,
-            pump=lambda: board.wait(0.1), decode=result_from_wire,
+            pump=lambda: board.wait(0.1), decode=RunResult.from_dict,
         )
 
     def close(self) -> None:

@@ -1,12 +1,13 @@
-"""Scenario / result wire format for the distributed executor.
+"""Scenario wire format for the distributed executor.
 
 Every scenario is fully specified by its ``(NetworkConfig, RunOptions)``
 pair and the simulator is deterministic, so shipping those two dicts to
 a remote worker and running ``simulate`` there produces a bit-identical
 :class:`~repro.results.RunResult` to running locally — the property the
 whole distributed backend leans on.  Results come back as
-``RunResult.to_dict()`` payloads, which round-trip exactly (PR 6 pins
-this), so stored rows are byte-identical at any worker count.
+``RunResult.to_dict()`` payloads, which round-trip exactly through
+``RunResult.from_dict``, so stored rows are byte-identical at any worker
+count.
 
 Scenario ``tags`` deliberately do not cross the wire: they may hold
 non-JSON values (``Protocol`` enums, callables) and they never influence
@@ -20,16 +21,10 @@ import dataclasses
 from typing import Any, Dict
 
 from ..api.engine import RunOptions
-from ..api.result import RunResult
 from ..api.scenario import Scenario
 from ..config import NetworkConfig
 
-__all__ = [
-    "scenario_to_wire",
-    "scenario_from_wire",
-    "result_to_wire",
-    "result_from_wire",
-]
+__all__ = ["scenario_to_wire", "scenario_from_wire"]
 
 
 def scenario_to_wire(scenario: Scenario) -> Dict[str, Any]:
@@ -46,11 +41,3 @@ def scenario_from_wire(data: Dict[str, Any]) -> Scenario:
         config=NetworkConfig.from_dict(data["config"]),
         options=RunOptions(**data["options"]),
     )
-
-
-def result_to_wire(run: RunResult) -> Dict[str, Any]:
-    return run.to_dict()
-
-
-def result_from_wire(data: Dict[str, Any]) -> RunResult:
-    return RunResult.from_dict(data)

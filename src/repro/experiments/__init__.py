@@ -7,8 +7,9 @@ The figures and tables defined here are published through the
 (fig8–fig12, table1–table2, ext-perf).  Execution goes through
 :class:`repro.api.Scenario` grids and :func:`repro.api.run_scenarios`,
 so every experiment runs under whatever executor the caller installed
-with :func:`repro.api.use_executor` (serial when none is), and accepts
-``runs=`` for re-rendering from a :class:`repro.api.ResultStore`.
+with :func:`repro.api.use_executor` (serial when none is) and through
+whatever run cache it installed; :func:`repro.service.replay` re-renders
+any of them from a result store without simulating.
 A single run goes through :func:`repro.api.simulate`.
 """
 

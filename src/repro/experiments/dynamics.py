@@ -17,12 +17,12 @@ Like every figure, the run grid is bit-identical under every
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-from ..api import RunOptions, RunResult, Scenario, experiment
+from ..api import RunOptions, Scenario, experiment, run_scenarios
 from ..config import Protocol
 from ..metrics.summary import mean_of
-from .figures import _LABELS, _PROTOCOLS, FigureResult, _resolve_runs
+from .figures import _LABELS, _PROTOCOLS, FigureResult
 from .presets import get_preset
 
 __all__ = ["ext_dynamics", "DEFAULT_CHURN_RATES_HZ"]
@@ -61,7 +61,6 @@ def ext_dynamics(
     preset: str = "quick",
     seeds: Sequence[int] = (1,),
     churn_rates_hz: Sequence[float] = DEFAULT_CHURN_RATES_HZ,
-    runs: Optional[Sequence[RunResult]] = None,
 ) -> FigureResult:
     """Delivery/lifetime surface of the three protocols under churn."""
     tier = get_preset(preset)
@@ -89,7 +88,7 @@ def ext_dynamics(
         for churn in churn_rates_hz
         for seed in seeds
     ]
-    result.runs = _resolve_runs(scenarios, runs, result.figure_id)
+    result.runs = run_scenarios(scenarios, experiment=result.figure_id)
 
     it = iter(result.runs)
     for proto in _PROTOCOLS:

@@ -12,9 +12,9 @@ it expands its protocol × load × seed grid into :class:`Scenario` objects,
 executes them through :func:`repro.api.run_scenarios` (under the ambient
 :func:`repro.api.use_executor` policy — the table is bit-identical at
 any parallelism), and assembles the table from the index-aligned
-:class:`RunResult` records.  Pass ``runs=`` (e.g. loaded from a
-:class:`repro.api.ResultStore`) to re-render a table without
-re-simulating.
+:class:`RunResult` records.  Each experiment stamps its runs with its
+own id.  To re-render a table from stored runs without re-simulating,
+run it under :func:`repro.service.replay`.
 
 All functions accept ``preset`` ("full" = Table II scale, "quick" = CI
 scale, "smoke" = harness tests) and a seed tuple for replication, and all
@@ -28,7 +28,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..api import RunOptions, RunResult, Scenario, experiment, run_scenarios
-from ..api.pairing import describe_key, pair_stored_runs
 from ..config import Protocol
 from ..errors import ExperimentError
 from ..metrics.fairness import mean_snapshot_std
@@ -128,38 +127,6 @@ def _scenario(tier: Preset, proto: Protocol, load: float, seed: int,
     )
 
 
-def _resolve_runs(
-    scenarios: Sequence[Scenario],
-    runs: Optional[Sequence[RunResult]],
-    experiment_id: str,
-) -> List[RunResult]:
-    """Execute the plan, or line up pre-computed runs with it.
-
-    Fresh executions are stamped with ``experiment_id`` (see
-    :attr:`RunResult.experiment`).  With ``runs`` given (a ResultStore
-    reload), pairing is delegated to
-    :func:`repro.api.pairing.pair_stored_runs` — the config digest is the
-    decisive discriminator, runs stamped by a *different* experiment are
-    rejected even when their grid coordinates coincide, and a partial
-    store reports **every** missing grid cell at once instead of failing
-    on the first hole.
-    """
-    if runs is None:
-        return run_scenarios(scenarios, experiment=experiment_id)
-    paired, missing = pair_stored_runs(scenarios, runs, experiment_id)
-    if missing:
-        cells = "\n".join(f"  - {describe_key(key)}" for key in missing)
-        raise ExperimentError(
-            f"stored runs cover only {len(scenarios) - len(missing)} of "
-            f"{len(scenarios)} grid cells for experiment={experiment_id}; "
-            f"missing:\n{cells}\n(runs from other experiments, other "
-            f"configurations, or pre-digest stores are not admitted — "
-            f"run the same line with --cache PATH instead of --from to "
-            f"simulate only the missing cells into the store)"
-        )
-    return paired  # type: ignore[return-value]  # no None left past the check
-
-
 # ---------------------------------------------------------------------------
 # Fig. 8 — Average remaining power versus time.
 # ---------------------------------------------------------------------------
@@ -170,7 +137,6 @@ def fig8_remaining_energy(
     preset: str = "quick",
     seeds: Sequence[int] = (1,),
     load_pps: float = 5.0,
-    runs: Optional[Sequence[RunResult]] = None,
 ) -> FigureResult:
     """"Figure 8 shows the average remaining energy in each sensor with
     elapsed time.  The initial battery energy level is 10 Joules, and
@@ -191,7 +157,7 @@ def fig8_remaining_energy(
         for proto in _PROTOCOLS
         for seed in seeds
     ]
-    result.runs = _resolve_runs(scenarios, runs, result.figure_id)
+    result.runs = run_scenarios(scenarios, experiment=result.figure_id)
 
     columns: Dict[Protocol, List[float]] = {}
     times: List[float] = []
@@ -221,7 +187,6 @@ def fig9_nodes_alive(
     preset: str = "quick",
     seeds: Sequence[int] = (1,),
     load_pps: float = 5.0,
-    runs: Optional[Sequence[RunResult]] = None,
 ) -> FigureResult:
     """"we are also interested in the number of sensor nodes alive versus
     elapsed time" — runs until every node has died (or the horizon)."""
@@ -238,7 +203,7 @@ def fig9_nodes_alive(
         for proto in _PROTOCOLS
         for seed in seeds
     ]
-    result.runs = _resolve_runs(scenarios, runs, result.figure_id)
+    result.runs = run_scenarios(scenarios, experiment=result.figure_id)
 
     columns: Dict[Protocol, List[float]] = {}
     lifetimes: Dict[Protocol, List[Optional[float]]] = {p: [] for p in _PROTOCOLS}
@@ -296,7 +261,6 @@ def fig10_lifetime_vs_load(
     preset: str = "quick",
     seeds: Sequence[int] = (1,),
     loads_pps: Sequence[float] = DEFAULT_LOADS_PPS,
-    runs: Optional[Sequence[RunResult]] = None,
 ) -> FigureResult:
     """"we further increase the traffic load until the network gets
     saturated and measure the network lifetime."""
@@ -315,7 +279,7 @@ def fig10_lifetime_vs_load(
         for proto in _PROTOCOLS
         for seed in seeds
     ]
-    result.runs = _resolve_runs(scenarios, runs, result.figure_id)
+    result.runs = run_scenarios(scenarios, experiment=result.figure_id)
 
     it = iter(result.runs)
     for load in loads_pps:
@@ -338,7 +302,6 @@ def fig11_energy_per_packet(
     preset: str = "quick",
     seeds: Sequence[int] = (1,),
     loads_pps: Sequence[float] = DEFAULT_LOADS_PPS,
-    runs: Optional[Sequence[RunResult]] = None,
 ) -> FigureResult:
     """"One important metric ... is average energy consumed for
     successfully transmitting one data packet. ... we only compare pure
@@ -358,7 +321,7 @@ def fig11_energy_per_packet(
         for proto in _PROTOCOLS
         for seed in seeds
     ]
-    result.runs = _resolve_runs(scenarios, runs, result.figure_id)
+    result.runs = run_scenarios(scenarios, experiment=result.figure_id)
 
     it = iter(result.runs)
     for load in loads_pps:
@@ -392,7 +355,6 @@ def fig12_queue_stddev(
     seeds: Sequence[int] = (1,),
     loads_pps: Sequence[float] = DEFAULT_LOADS_PPS,
     warmup_fraction: float = 0.25,
-    runs: Optional[Sequence[RunResult]] = None,
 ) -> FigureResult:
     """"we have set the buffer size to be substantially large enough to
     accommodate all generated packets ... we have taken several snapshots
@@ -413,7 +375,7 @@ def fig12_queue_stddev(
         for proto in _PROTOCOLS
         for seed in seeds
     ]
-    result.runs = _resolve_runs(scenarios, runs, result.figure_id)
+    result.runs = run_scenarios(scenarios, experiment=result.figure_id)
 
     it = iter(result.runs)
     for load in loads_pps:
@@ -441,7 +403,6 @@ def ext_performance(
     preset: str = "quick",
     seeds: Sequence[int] = (1,),
     loads_pps: Sequence[float] = DEFAULT_LOADS_PPS,
-    runs: Optional[Sequence[RunResult]] = None,
 ) -> FigureResult:
     """Delay / aggregate throughput / delivery rate versus load — the
     metrics the paper defines in §IV-A but defers to the long version."""
@@ -465,7 +426,7 @@ def ext_performance(
         for proto in _PROTOCOLS
         for seed in seeds
     ]
-    result.runs = _resolve_runs(scenarios, runs, result.figure_id)
+    result.runs = run_scenarios(scenarios, experiment=result.figure_id)
 
     it = iter(result.runs)
     for load in loads_pps:

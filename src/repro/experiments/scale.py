@@ -25,10 +25,10 @@ import math
 import os
 from typing import Dict, Optional, Sequence, Tuple
 
-from ..api import RunOptions, RunResult, Scenario, experiment
+from ..api import RunOptions, Scenario, experiment, run_scenarios
 from ..config import NetworkConfig, Protocol
 from ..errors import ExperimentError
-from .figures import _LABELS, _PROTOCOLS, FigureResult, _resolve_runs
+from .figures import _LABELS, _PROTOCOLS, FigureResult
 
 __all__ = ["ext_scale", "scale_config", "DEFAULT_NODE_COUNTS"]
 
@@ -116,7 +116,6 @@ def ext_scale(
     node_counts: Optional[Sequence[int]] = None,
     backend: str = "event",
     profile_rounds: Optional[str] = None,
-    runs: Optional[Sequence[RunResult]] = None,
 ) -> FigureResult:
     """Workload and wall-clock scaling of the three protocols with N.
 
@@ -166,7 +165,7 @@ def ext_scale(
         for n in node_counts
         for seed in seeds
     ]
-    result.runs = _resolve_runs(scenarios, runs, result.figure_id)
+    result.runs = run_scenarios(scenarios, experiment=result.figure_id)
 
     it = iter(result.runs)
     for proto in _PROTOCOLS:

@@ -14,12 +14,12 @@ Like every figure, the run grid is bit-identical under every
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-from ..api import RunOptions, RunResult, Scenario, experiment
+from ..api import RunOptions, Scenario, experiment, run_scenarios
 from ..config import Protocol
 from ..metrics.summary import mean_of
-from .figures import FigureResult, _resolve_runs
+from .figures import FigureResult
 from .presets import get_preset
 
 __all__ = ["ext_uplink", "DEFAULT_SINK_OFFSETS_M", "DEFAULT_RELAY_MODES"]
@@ -55,7 +55,6 @@ def ext_uplink(
     seeds: Sequence[int] = (1,),
     sink_offsets_m: Sequence[float] = DEFAULT_SINK_OFFSETS_M,
     modes: Sequence[str] = DEFAULT_RELAY_MODES,
-    runs: Optional[Sequence[RunResult]] = None,
 ) -> FigureResult:
     """Delay/hop/energy/lifetime surface of the routed head→sink uplink."""
     tier = get_preset(preset)
@@ -80,7 +79,7 @@ def ext_uplink(
         for offset in sink_offsets_m
         for seed in seeds
     ]
-    result.runs = _resolve_runs(scenarios, runs, result.figure_id)
+    result.runs = run_scenarios(scenarios, experiment=result.figure_id)
 
     it = iter(result.runs)
     for mode in modes:

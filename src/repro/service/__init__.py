@@ -11,7 +11,7 @@ Three layers, each usable on its own:
   campaign cells whose config digest already has a stored row straight
   from the database and simulates only the misses — a repeated sweep is
   100% reads, byte-identical to a fresh run.  :class:`CacheStats` counts
-  what was saved.
+  what was saved, and :func:`replay` renders from stored rows alone.
 * **Campaign server** (:mod:`~repro.service.jobs` /
   :mod:`~repro.service.http`): ``repro-caem serve`` — submit campaigns
   over JSON/HTTP into a background :class:`JobManager`, stream NDJSON
@@ -28,7 +28,7 @@ hangs, torn writes, fsync failures — that prove it.
 """
 
 from .._lazy import lazy_exports
-from .cache import CacheStats, RunCache
+from .cache import CacheStats, RunCache, replay
 from .db import DB_SUFFIXES, DbResultStore, open_store
 from .faults import FaultInjector, FaultPlan, InjectedFault, inject_faults
 from .gc import collect_garbage, describe_gc
@@ -58,6 +58,7 @@ __all__ = [
     "open_store",
     "parse_predicate",
     "query_runs",
+    "replay",
     "schema_version",
 ]
 

@@ -2,11 +2,10 @@
 
 A :class:`RunCache` sits between the Campaign executor and the engine.
 Before anything is simulated it pairs the scenario grid against the
-result database by config digest (the same pairing the ``--from``
-re-renderer uses — :mod:`repro.api.pairing`), serves every hit straight
-from the stored rows, simulates only the misses, and writes the newly
-simulated rows back — so a repeated sweep is 100% reads, and an enlarged
-sweep only pays for the new cells.
+result database by config digest (:mod:`repro.api.pairing`), serves
+every hit straight from the stored rows, simulates only the misses, and
+writes the newly simulated rows back — so a repeated sweep is 100%
+reads, and an enlarged sweep only pays for the new cells.
 
 Because stored rows round-trip exactly (JSON payloads preserve every
 float bit), a fully cached campaign returns results **byte-identical** to
@@ -23,19 +22,25 @@ code region (CLI ``--cache``, the campaign server's workers)::
     with use_run_cache(cache):
         figure = fig8_remaining_energy(preset="quick")
     print(cache.stats.describe())
+
+:func:`replay` is the same cache over an executor that never simulates:
+it renders from stored rows alone (CLI ``--from``, the server's
+``?rerender=1``) and names every cell the store lacks.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..api import campaign as _campaign
-from ..api.pairing import pair_stored_runs, scenario_key
+from ..api.pairing import describe_key, pair_stored_runs, scenario_key
 from ..api.result import RunResult
-from ..exec.base import CampaignIncompleteError
+from ..errors import ExperimentError
+from ..exec.base import CampaignExecutor, CampaignIncompleteError
 
-__all__ = ["CacheStats", "RunCache"]
+__all__ = ["CacheStats", "RunCache", "replay"]
 
 
 @dataclass
@@ -77,9 +82,9 @@ class CacheStats:
 class RunCache:
     """Digest-keyed read-through cache over a result store.
 
-    ``store`` is any store with ``extend`` and either ``rows_for_digests``
-    (the indexed :class:`~repro.service.DbResultStore` path) or ``load``
-    (a JSONL file works too, at scan cost).  ``on_event`` receives
+    ``store`` is a :class:`~repro.service.DbResultStore` (an indexed
+    read) or a JSONL :class:`~repro.api.ResultStore` (one scan): anything
+    with ``append`` and ``rows_for_digests``.  ``on_event`` receives
     progress dicts (the campaign server streams them as NDJSON): a
     ``plan`` event up front, then one ``cell`` event per grid cell with
     its source.
@@ -97,21 +102,6 @@ class RunCache:
     def _emit(self, event: Dict[str, Any]) -> None:
         if self.on_event is not None:
             self.on_event(event)
-
-    def _stored_candidates(self, scenarios: Sequence) -> List[tuple]:
-        """Candidate ``(run, payload_bytes)`` rows for this grid."""
-        digests = {scenario_key(sc)[4] for sc in scenarios}
-        rows_for_digests = getattr(self.store, "rows_for_digests", None)
-        if rows_for_digests is not None:
-            return list(rows_for_digests(digests))
-        # JSONL store: full scan, size approximated from the row.
-        import json
-
-        return [
-            (run, len(json.dumps(run.to_dict()).encode()))
-            for run in self.store.load()
-            if run.config_digest in digests
-        ]
 
     def execute(
         self,
@@ -139,7 +129,10 @@ class RunCache:
         """
         scenarios = list(scenarios)
         executor = _campaign.resolve_executor(executor)
-        candidates = self._stored_candidates(scenarios)
+        # Candidate ``(run, payload_bytes)`` rows for this grid.
+        candidates = self.store.rows_for_digests(
+            {scenario_key(sc)[4] for sc in scenarios}
+        )
         sizes = {id(run): nbytes for run, nbytes in candidates}
         paired, _missing = pair_stored_runs(
             scenarios, [run for run, _ in candidates], experiment
@@ -218,3 +211,34 @@ class RunCache:
             "scenario": scenario.describe(),
         }
 
+
+class _Unsimulated(CampaignExecutor):
+    """The executor :func:`replay` installs: every cell that reaches it
+    is one the store could not pair, so it refuses them all at once."""
+
+    def execute(self, scenarios, hooks):
+        cells = "\n".join(
+            f"  - {describe_key(scenario_key(sc))}" for sc in scenarios
+        )
+        raise ExperimentError(
+            f"stored runs lack {len(scenarios)} grid cell(s) for "
+            f"experiment={hooks.experiment}; missing:\n{cells}\n"
+            f"(runs from other experiments, other configurations, or "
+            f"pre-digest stores are not admitted — run the same line with "
+            f"--cache PATH instead of --from to simulate only the missing "
+            f"cells into the store)"
+        )
+
+
+@contextlib.contextmanager
+def replay(store):
+    """Render from ``store`` alone: nothing is simulated or written.
+
+    Every :func:`~repro.api.run_scenarios` call in this context is served
+    by a :class:`RunCache` over ``store``; a cell the store cannot pair
+    raises :class:`~repro.errors.ExperimentError` listing every missing
+    cell of the grid, instead of being simulated.
+    """
+    with _campaign.use_run_cache(RunCache(store)):
+        with _campaign.use_executor(_Unsimulated()):
+            yield

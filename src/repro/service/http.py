@@ -15,6 +15,8 @@ workflow needs:
 ``GET  /campaigns/<id>/events``     NDJSON progress stream (long-poll)
 ``GET  /campaigns/<id>/figure``     rendered figure; ``?rerender=1``
                                     re-renders from the stored DB rows
+                                    through the run cache, as ``--from``
+                                    does
 ``GET  /campaigns/<id>/agg``        grouped reduction over the job's
                                     stored rows: ``?agg=mean&group_by=
                                     protocol,load`` (+ ``metrics=``)
@@ -39,25 +41,16 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from ..api import get_experiment, list_experiments
+from ..api import list_experiments
 from ..errors import ExperimentError, ReproError
-from ..exec.coordinator import handle_work
+from ..exec.coordinator import HttpError, handle_work, read_json_body
+from .cache import replay
 from .db import DbResultStore
-from .jobs import JobManager
+from .jobs import JobManager, render_experiment
 from .migrations import SCHEMA_VERSION
 from .query import aggregate_runs, parse_predicate, query_runs
 
 __all__ = ["CampaignServer", "build_server"]
-
-_MAX_BODY_BYTES = 1 << 20  # campaign specs are small; refuse megabyte bodies
-
-
-class _HttpError(Exception):
-    """An error with a specific HTTP status (413, 404, ...)."""
-
-    def __init__(self, status: int, message: str):
-        super().__init__(message)
-        self.status = status
 
 
 class CampaignServer(ThreadingHTTPServer):
@@ -157,30 +150,6 @@ class _Handler(BaseHTTPRequestHandler):
     def _error(self, status: int, message: str) -> None:
         self._send_json({"error": message}, status=status)
 
-    def _read_body(self) -> Dict[str, Any]:
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            raise ExperimentError(
-                "malformed Content-Length header (expected an integer)"
-            ) from None
-        if length <= 0:
-            raise ExperimentError("request body required (a JSON object)")
-        if length > _MAX_BODY_BYTES:
-            raise _HttpError(
-                413,
-                f"request body too large ({length} bytes; the limit is "
-                f"{_MAX_BODY_BYTES}) — campaign specs are small JSON objects",
-            )
-        raw = self.rfile.read(length)
-        try:
-            data = json.loads(raw)
-        except ValueError as exc:
-            raise ExperimentError(f"request body is not JSON: {exc}") from None
-        if not isinstance(data, dict):
-            raise ExperimentError("request body must be a JSON object")
-        return data
-
     # -- routing ---------------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
@@ -209,7 +178,7 @@ class _Handler(BaseHTTPRequestHandler):
                 if len(parts) == 3 and parts[2] == "agg":
                     return self._get_agg(job, params)
             self._error(404, f"no such endpoint: {url.path}")
-        except _HttpError as exc:
+        except HttpError as exc:
             self._error(exc.status, str(exc))
         except (ReproError, ValueError) as exc:
             self._error(400, str(exc))
@@ -223,13 +192,13 @@ class _Handler(BaseHTTPRequestHandler):
         parts = [p for p in url.path.split("/") if p]
         try:
             if parts == ["campaigns"]:
-                spec = self._read_body()
+                spec = read_json_body(self)
                 record = self.server.manager.submit(spec)
                 return self._send_json(record.snapshot(), status=202)
             if parts and parts[0] == "work":
-                return self._work(parts, self._read_body(), "POST")
+                return self._work(parts, read_json_body(self), "POST")
             self._error(404, f"no such endpoint: {url.path}")
-        except _HttpError as exc:
+        except HttpError as exc:
             self._error(exc.status, str(exc))
         except (ReproError, ValueError) as exc:
             self._error(400, str(exc))
@@ -322,18 +291,8 @@ class _Handler(BaseHTTPRequestHandler):
                 return self._error(409, "job still running; poll until done")
             # Re-render purely from the stored rows — the service-tier
             # equivalent of `repro-caem run <exp> --from results.sqlite`.
-            exp = get_experiment(spec["experiment"])
-            rows = self.server.db.query(experiment=spec["experiment"])
-            figure = exp.run(
-                preset=spec.get("preset", "smoke"),
-                seeds=tuple(int(s) for s in spec.get("seeds", (1,))),
-                loads_pps=(
-                    tuple(float(v) for v in spec["loads"])
-                    if spec.get("loads") else None
-                ),
-                runs=rows,
-            )
-            return self._send_text(figure.render())
+            with replay(self.server.db):
+                return self._send_text(render_experiment(spec))
         if job.figure_text is None:
             return self._error(409, "figure not rendered yet; poll until done")
         self._send_text(job.figure_text)

@@ -47,7 +47,7 @@ from ..exec.base import get_executor
 from .cache import RunCache
 from .db import DbResultStore
 
-__all__ = ["JobRecord", "JobManager"]
+__all__ = ["JobRecord", "JobManager", "render_experiment"]
 
 _TERMINAL = ("done", "failed", "incomplete", "aborted")
 
@@ -59,6 +59,22 @@ _REMOVED_KEYS = {
     "cell_timeout_s": '"executor": "supervised:timeout=S"',
     "max_attempts": '"executor": "supervised:retries=<max_attempts - 1>"',
 }
+
+
+def render_experiment(spec: Dict[str, Any]) -> str:
+    """Run the experiment an experiment spec names and render it.
+
+    Cells come from the ambient run cache and executor: a job's own, or
+    :func:`~repro.service.cache.replay`'s for a ``?rerender=1``.
+    """
+    figure = get_experiment(spec["experiment"]).run(
+        preset=spec.get("preset", "smoke"),
+        seeds=tuple(int(s) for s in spec.get("seeds", (1,))),
+        loads_pps=(
+            tuple(float(v) for v in spec["loads"]) if spec.get("loads") else None
+        ),
+    )
+    return figure.render()
 
 
 @dataclass
@@ -327,9 +343,8 @@ class JobManager:
         if not isinstance(spec, dict):
             raise ExperimentError("campaign spec must be a JSON object")
         if "experiment" in spec:
-            name = spec["experiment"]
-            get_experiment(name)  # raises with the known-names list
-            return {"kind": "experiment", "name": name}
+            get_experiment(spec["experiment"])  # raises with the known names
+            return {"kind": "experiment"}
         if "axes" in spec:
             axes = spec["axes"]
             if not isinstance(axes, dict) or not axes:
@@ -393,16 +408,7 @@ class JobManager:
         try:
             with use_run_cache(cache), use_executor(executor):
                 if plan["kind"] == "experiment":
-                    exp = get_experiment(plan["name"])
-                    figure = exp.run(
-                        preset=spec.get("preset", "smoke"),
-                        seeds=tuple(int(s) for s in spec.get("seeds", (1,))),
-                        loads_pps=(
-                            tuple(float(v) for v in spec["loads"])
-                            if spec.get("loads") else None
-                        ),
-                    )
-                    record.figure_text = figure.render()
+                    record.figure_text = render_experiment(spec)
                 else:
                     plan["campaign"].run()
         except CampaignIncompleteError as exc:

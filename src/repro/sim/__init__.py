@@ -5,12 +5,12 @@ Public surface:
 * :class:`Simulator` — clock, scheduling, run loop.
 * :func:`strictly_after` — the float-resolution guard for re-arms.
 * :class:`EventQueue`, :class:`ScheduledCall` — the scheduler beneath it.
-* :class:`Tracer` — structured tracing for tests/diagnostics.
+* :class:`Tracer` — protocol annotations for tests/diagnostics.
 """
 
 from .scheduler import EventQueue, ScheduledCall
 from .simulator import Simulator, strictly_after
-from .trace import Annotation, TraceRecord, Tracer
+from .trace import Annotation, Tracer
 
 __all__ = [
     "Simulator",
@@ -18,6 +18,5 @@ __all__ = [
     "EventQueue",
     "ScheduledCall",
     "Tracer",
-    "TraceRecord",
     "Annotation",
 ]

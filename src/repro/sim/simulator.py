@@ -66,7 +66,6 @@ class Simulator:
         "_running",
         "_stopped",
         "events_processed",
-        "trace",
     )
 
     def __init__(self, start_time: float = 0.0) -> None:
@@ -76,8 +75,6 @@ class Simulator:
         self._stopped = False
         #: Total number of callbacks executed; cheap progress/perf metric.
         self.events_processed = 0
-        #: Optional repro.sim.trace.Tracer attached by diagnostics.
-        self.trace = None
 
     # -- clock ----------------------------------------------------------------
 
@@ -140,8 +137,6 @@ class Simulator:
             raise SimulationError("event queue returned a past event")
         self._now = call.time
         self.events_processed += 1
-        if self.trace is not None:
-            self.trace.record(self._now, call)
         call.fn(*call.args)
         return True
 
@@ -164,9 +159,8 @@ class Simulator:
 
         One heap operation per event: the earliest live entry is inspected
         in place and popped once, instead of the peek-then-pop double head
-        scan that :meth:`step` pays.  ``heappop``, the raw heap list, and
-        the trace decision are all bound outside the loop; the trace-off
-        fast path carries no per-event trace branch.  Events are tuples
+        scan that :meth:`step` pays.  ``heappop`` and the raw heap list are
+        bound outside the loop.  Events are tuples
         ``(time, priority, seq, call)`` (see :mod:`repro.sim.scheduler`),
         so ordering and lazy cancellation behave exactly as in
         :meth:`step`/:meth:`EventQueue.pop`.
@@ -183,44 +177,23 @@ class Simulator:
         # never reaches zero.
         remaining = -1 if max_events is None else max_events
         try:
-            if self.trace is None:
-                while remaining != 0 and not self._stopped:
-                    while heap and heap[0][3].cancelled:
-                        pop(heap)
-                    if not heap:
-                        break
-                    entry = heap[0]
-                    t = entry[0]
-                    if t > horizon:
-                        break
+            while remaining != 0 and not self._stopped:
+                while heap and heap[0][3].cancelled:
                     pop(heap)
-                    call = entry[3]
-                    queue._live -= 1
-                    call._queue = None
-                    self._now = t
-                    self.events_processed += 1
-                    call.fn(*call.args)
-                    remaining -= 1
-            else:
-                trace = self.trace
-                while remaining != 0 and not self._stopped:
-                    while heap and heap[0][3].cancelled:
-                        pop(heap)
-                    if not heap:
-                        break
-                    entry = heap[0]
-                    t = entry[0]
-                    if t > horizon:
-                        break
-                    pop(heap)
-                    call = entry[3]
-                    queue._live -= 1
-                    call._queue = None
-                    self._now = t
-                    self.events_processed += 1
-                    trace.record(t, call)
-                    call.fn(*call.args)
-                    remaining -= 1
+                if not heap:
+                    break
+                entry = heap[0]
+                t = entry[0]
+                if t > horizon:
+                    break
+                pop(heap)
+                call = entry[3]
+                queue._live -= 1
+                call._queue = None
+                self._now = t
+                self.events_processed += 1
+                call.fn(*call.args)
+                remaining -= 1
         finally:
             self._running = False
 

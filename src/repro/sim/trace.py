@@ -1,8 +1,6 @@
-"""Structured tracing for simulation debugging and assertions in tests.
+"""Protocol annotations for simulation debugging and assertions in tests.
 
-Attach a :class:`Tracer` to a :class:`~repro.sim.simulator.Simulator` and it
-records one :class:`TraceRecord` per executed event, optionally filtered.
-Protocol modules additionally emit *annotations* (named, typed moments like
+Protocol modules emit *annotations* (named, typed moments like
 ``"mac.collision"``) through :meth:`Tracer.annotate`, which tests use to
 assert behavioural sequences without poking at internals.
 """
@@ -10,17 +8,9 @@ assert behavioural sequences without poking at internals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List
 
-__all__ = ["TraceRecord", "Annotation", "Tracer"]
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    """One executed kernel event."""
-
-    time: float
-    label: str
+__all__ = ["Annotation", "Tracer"]
 
 
 @dataclass(frozen=True)
@@ -33,37 +23,10 @@ class Annotation:
 
 
 class Tracer:
-    """Collects kernel events and protocol annotations.
+    """Collects protocol annotations."""
 
-    Parameters
-    ----------
-    keep_kernel_events:
-        If False (default) only annotations are stored; kernel-event
-        recording is opt-in because hot simulations execute millions of
-        callbacks.
-    event_filter:
-        Optional predicate on the callback label; only matching kernel
-        events are kept.
-    """
-
-    def __init__(
-        self,
-        keep_kernel_events: bool = False,
-        event_filter: Optional[Callable[[str], bool]] = None,
-    ) -> None:
-        self.keep_kernel_events = keep_kernel_events
-        self.event_filter = event_filter
-        self.records: List[TraceRecord] = []
+    def __init__(self) -> None:
         self.annotations: List[Annotation] = []
-
-    # Called by Simulator.step for every executed event.
-    def record(self, time: float, call: Any) -> None:
-        if not self.keep_kernel_events:
-            return
-        label = getattr(call.fn, "__qualname__", repr(call.fn))
-        if self.event_filter is not None and not self.event_filter(label):
-            return
-        self.records.append(TraceRecord(time, label))
 
     def annotate(self, time: float, kind: str, **data: Any) -> None:
         """Record a protocol moment (e.g. ``mac.collision``, ``policy.lower``)."""
@@ -76,8 +39,3 @@ class Tracer:
     def count(self, kind: str) -> int:
         """Number of annotations of ``kind``."""
         return sum(1 for a in self.annotations if a.kind == kind)
-
-    def clear(self) -> None:
-        """Drop everything recorded so far."""
-        self.records.clear()
-        self.annotations.clear()

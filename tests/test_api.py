@@ -65,6 +65,10 @@ class TestRegistry:
         # default seed.
         with pytest.raises(ExperimentError, match=r"option\(s\) seed;"):
             get_experiment("fig11").run(preset="smoke", seed=(3,))
+        # Experiments take no stored rows: replay a store through the
+        # run cache instead (repro.service.replay).
+        with pytest.raises(ExperimentError, match=r"option\(s\) runs;"):
+            get_experiment("fig11").run(preset="smoke", runs=[])
 
         @experiment("_test-kw", kind="extension")
         def _kw(**options):

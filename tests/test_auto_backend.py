@@ -165,7 +165,7 @@ class TestStoredRunCompatibility:
         pairing key carries the resolved backend, so widening auto's
         reach never orphans old rows."""
         from repro.api import get_experiment
-        from repro.service import open_store
+        from repro.service import open_store, replay
 
         store = open_store(tmp_path / "old.jsonl")
         figure = get_experiment("ext-scale").run(
@@ -173,8 +173,8 @@ class TestStoredRunCompatibility:
         )
         store.extend(figure.runs)
 
-        rendered = get_experiment("ext-scale").run(
-            preset="smoke", seeds=(1,), backend="event",
-            runs=store.load(),
-        )
+        with replay(store):
+            rendered = get_experiment("ext-scale").run(
+                preset="smoke", seeds=(1,), backend="event",
+            )
         assert rendered.rows == figure.rows

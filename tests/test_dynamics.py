@@ -36,6 +36,7 @@ from repro.dynamics import EventTimeline
 from repro.errors import ConfigError
 from repro.network import NodeRole, SensorNetwork
 from repro.rng import RngRegistry
+from repro.service import replay
 from repro.sim import Simulator, Tracer
 from repro.traffic.sources import OnOffSource, PoissonSource
 
@@ -562,11 +563,10 @@ class TestExtDynamicsExperiment:
         assert "churn_hz" in text and "survivor_kbps" in text
         store = ResultStore(tmp_path / "runs.jsonl")
         store.extend(fig.runs)
-        loaded = store.load()
-        refig = spec.run(
-            preset="smoke", seeds=(1,), churn_rates_hz=(0.0, 0.01),
-            runs=loaded,
-        )
+        with replay(store):
+            refig = spec.run(
+                preset="smoke", seeds=(1,), churn_rates_hz=(0.0, 0.01)
+            )
         assert refig.render() == text
 
     @pytest.mark.slow

@@ -225,27 +225,6 @@ class TestKernelSatellites:
         assert seen == [1, 2]
         assert sim.events_processed == 0  # reset() ran last and sticks
 
-    def test_trace_on_and_off_paths_agree(self):
-        """The branch-free trace-off loop and the tracing loop must
-        execute the same events in the same order."""
-        from repro.sim import Tracer
-
-        def drive(trace):
-            sim = Simulator()
-            sim.trace = trace
-            out = []
-            sim.call_in(1.0, lambda: out.append("a"))
-            sim.call_in(1.0, lambda: out.append("b"))
-            h = sim.call_in(1.5, lambda: out.append("x"))
-            h.cancel()
-            sim.call_in(2.0, lambda: out.append("c"))
-            sim.run()
-            return out, sim.events_processed
-
-        tracer = Tracer(keep_kernel_events=True)
-        assert drive(None) == drive(tracer)
-        assert [r.time for r in tracer.records] == [1.0, 1.0, 2.0]
-
 
 BENCH_SCALE = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_scale.py"
 CALIB = Path(__file__).resolve().parent.parent / "perfbench" / "calib.py"

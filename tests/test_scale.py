@@ -25,7 +25,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.api import RunOptions, get_experiment, use_executor
+from repro.api import ResultStore, RunOptions, get_experiment, use_executor
 from repro.api.engine import simulate
 from repro.channel import Link, LinkBudget
 from repro.config import ChannelConfig, NetworkConfig, Protocol, ScaleConfig
@@ -36,6 +36,7 @@ from repro.metrics import TimeSeriesCollector
 from repro.network import SensorNetwork
 from repro.network.stats import NetworkStats
 from repro.rng import NormalBlockCache, RngRegistry
+from repro.service import replay
 from repro.sim import Simulator
 
 
@@ -362,27 +363,34 @@ class TestExtScaleExperiment:
         )
         assert a.scale.max_delay_samples is not None
 
-    def test_smoke_run_and_store_round_trip(self):
+    @staticmethod
+    def _stored(tmp_path, fig):
+        store = ResultStore(tmp_path / "runs.jsonl")
+        store.extend(fig.runs)
+        return store
+
+    def test_smoke_run_and_store_round_trip(self, tmp_path):
         spec = get_experiment("ext-scale")
         fig = spec.run(preset="smoke", seeds=(1,))
         assert len(fig.rows) == 6  # 3 protocols x 2 sizes
         assert fig.headers[:2] == ["protocol", "nodes"]
         # Re-render from the recorded runs without re-simulating.
-        again = spec.run(preset="smoke", seeds=(1,), runs=fig.runs)
+        with replay(self._stored(tmp_path, fig)):
+            again = spec.run(preset="smoke", seeds=(1,))
         assert again.render() == fig.render()
 
-    def test_cross_size_store_refused_not_mispaired(self):
+    def test_cross_size_store_refused_not_mispaired(self, tmp_path):
         # Every ext-scale cell shares (protocol, load, seed, horizon), so
         # the store-resolution key must also carry the config digest:
         # re-rendering a store at different sizes has to fail loudly,
         # never silently pair the wrong network size to a row.
         spec = get_experiment("ext-scale")
         fig = spec.run(preset="smoke", seeds=(1,), node_counts=(30, 60))
-        with pytest.raises(ExperimentError, match="missing"):
-            spec.run(preset="smoke", seeds=(1,), node_counts=(24, 48),
-                     runs=fig.runs)
+        with replay(self._stored(tmp_path, fig)):
+            with pytest.raises(ExperimentError, match="missing"):
+                spec.run(preset="smoke", seeds=(1,), node_counts=(24, 48))
 
-    def test_cross_churn_store_refused_not_mispaired(self):
+    def test_cross_churn_store_refused_not_mispaired(self, tmp_path):
         # Same latent mis-pair class for ext-dynamics: its cells differ
         # only in the dynamics sub-config, so without the digest a
         # churn-rate subset re-render would silently show the wrong
@@ -390,12 +398,12 @@ class TestExtScaleExperiment:
         spec = get_experiment("ext-dynamics")
         fig = spec.run(preset="smoke", seeds=(1,),
                        churn_rates_hz=(0.0, 0.01))
-        with pytest.raises(ExperimentError, match="missing"):
-            spec.run(preset="smoke", seeds=(1,), churn_rates_hz=(0.005,),
-                     runs=fig.runs)
-        # Matching grids still round-trip.
-        again = spec.run(preset="smoke", seeds=(1,),
-                         churn_rates_hz=(0.0, 0.01), runs=fig.runs)
+        with replay(self._stored(tmp_path, fig)):
+            with pytest.raises(ExperimentError, match="missing"):
+                spec.run(preset="smoke", seeds=(1,), churn_rates_hz=(0.005,))
+            # Matching grids still round-trip.
+            again = spec.run(preset="smoke", seeds=(1,),
+                             churn_rates_hz=(0.0, 0.01))
         assert again.render() == fig.render()
 
     def test_runs_are_stamped_with_network_size(self):

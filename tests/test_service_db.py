@@ -90,6 +90,42 @@ class TestReadOnlyCommands:
         assert f"error: no such result store: {missing}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_failed_migrate_leaves_no_destination(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.jsonl").write_text("{not json\n")
+        assert main(["migrate", "bad.jsonl", "out.sqlite"]) == 1
+        assert "corrupt record at bad.jsonl:1" in capsys.readouterr().err
+        assert not (tmp_path / "out.sqlite").exists()
+
+    def test_from_names_every_missing_cell_and_writes_nothing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        fig8 = ["run", "fig8", "--preset", "smoke"]
+        assert main(fig8 + ["--cache", "runs.jsonl"]) == 0
+        assert main(["migrate", "runs.jsonl", "runs.sqlite"]) == 0
+        capsys.readouterr()
+        for store in ("runs.jsonl", "runs.sqlite"):
+            before = (tmp_path / store).read_bytes()
+            argv = fig8 + ["--seeds", "1", "2", "--from", store]
+            assert main(argv) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "experiment=fig8; missing:" in err
+            cells = [line for line in err.splitlines() if line.startswith("  - ")]
+            assert [cell.split()[1:4] for cell in cells] == [
+                ["protocol=pure_leach", "load=5", "seed=2"],
+                ["protocol=scheme1", "load=5", "seed=2"],
+                ["protocol=scheme2", "load=5", "seed=2"],
+            ]
+            assert (tmp_path / store).read_bytes() == before
+
 
 class TestDbResultStore:
     def test_round_trip_full_fidelity(self, tmp_path):

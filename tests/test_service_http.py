@@ -130,6 +130,30 @@ class TestEndpoints:
         )
         assert rerendered == rendered
 
+    def test_rerender_replays_rows_another_job_stored(self, server):
+        """A figure job whose every cell the cache served from a grid
+        job's (unstamped) rows re-renders from those same rows."""
+        grid = {
+            "preset": "smoke",
+            "axes": {"protocol": ["pure_leach", "scheme1", "scheme2"],
+                     "load_pps": [5.0]},
+            "seeds": [1],
+        }
+        _, first = _post_json(server, "/campaigns", grid)
+        assert server.manager.get(first["job_id"]).wait(timeout=300.0)
+        spec = {"experiment": "fig8", "preset": "smoke", "seeds": [1]}
+        _, submitted = _post_json(server, "/campaigns", spec)
+        job_id = submitted["job_id"]
+        assert server.manager.get(job_id).wait(timeout=300.0)
+        snap = _get_json(server, f"/campaigns/{job_id}")
+        assert snap["status"] == "done", snap["error"]
+        assert (snap["cache"]["hits"], snap["cache"]["misses"]) == (3, 0)
+        rendered = _get_text(server, f"/campaigns/{job_id}/figure")
+        rerendered = _get_text(
+            server, f"/campaigns/{job_id}/figure?rerender=1"
+        )
+        assert rerendered == rendered
+
     def test_error_paths(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _post_json(server, "/campaigns", {"experiment": "fig99"})

@@ -3,8 +3,9 @@
 The job manager must never strand a long-poller (shutdown aborts queued
 and running jobs and wakes their waiters), supervised jobs must land in
 an explicit ``incomplete`` status with a quarantine report, and the HTTP
-front must answer hostile input with structured JSON errors — 413 for
-oversized bodies, 400 for malformed ones, 500 (no traceback) for bugs.
+fronts (the campaign server and the self-hosted coordinator) must answer
+hostile input with structured JSON errors — 413 for oversized bodies,
+400 for malformed ones, 500 (no traceback) for bugs.
 """
 
 import json
@@ -68,7 +69,9 @@ def _raw_http(server, request_bytes):
         sock.settimeout(10)
         data = b""
         while b"\r\n\r\n" not in data:
-            data += sock.recv(4096)
+            chunk = sock.recv(4096)
+            assert chunk, f"connection closed with no status line: {data!r}"
+            data += chunk
         head, _, body = data.partition(b"\r\n\r\n")
         status = int(head.split(b" ", 2)[1])
         length = 0
@@ -135,6 +138,44 @@ class TestHttpHardening:
         payload = json.loads(body)
         assert payload["error"] == "internal error: RuntimeError: wires crossed"
         assert "Traceback" not in body
+
+
+class TestCoordinatorHardening:
+    """The coordinator that ``--executor distributed`` self-hosts reads
+    request bodies like the campaign server does."""
+
+    @pytest.fixture()
+    def coordinator(self):
+        from repro.exec.board import LeaseBoard
+        from repro.exec.coordinator import start_coordinator
+
+        server = start_coordinator("127.0.0.1", 0, LeaseBoard())
+        try:
+            yield server
+        finally:
+            server.close()
+
+    @pytest.mark.parametrize(
+        "length, reason",
+        [(b"abc", "malformed Content-Length"), (b"-1", "body required")],
+    )
+    def test_bad_content_length_is_400(self, coordinator, length, reason):
+        status, body = _raw_http(
+            coordinator,
+            b"POST /work/lease HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Length: " + length + b"\r\n\r\n",
+        )
+        assert status == 400
+        assert reason in body["error"]
+        # A well-formed worker request still gets its answer.
+        request = urllib.request.Request(
+            coordinator.url + "/work/lease",
+            data=json.dumps({"worker": "w1"}).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        with urllib.request.urlopen(request, timeout=10) as resp:
+            assert resp.status == 200
+            assert json.loads(resp.read()) == {"lease": None}
 
 
 class TestJobAbortSemantics:

@@ -1,9 +1,9 @@
 """Crash-safety and forward-compatibility of the result stores.
 
-Satellite coverage for the service PRs: torn-tail JSONL tolerance,
-row-level ``format_version`` gating, the full missing-cell report
-``run --from`` gives on a partial store, and WAL crash recovery when a
-database writer is SIGKILLed mid-batch.
+Covered here: torn-tail JSONL tolerance, row-level ``format_version``
+gating, the JSONL store's run-cache read (``rows_for_digests``), the
+full missing-cell report ``run --from`` gives on a partial store, and
+WAL crash recovery when a database writer is SIGKILLed mid-batch.
 """
 
 import json
@@ -167,6 +167,54 @@ class TestFormatVersion:
             check_format_version("banana", "x")
         with pytest.raises(ExperimentError, match="format version"):
             check_format_version(0, "x")
+
+
+class TestJsonlRowsForDigests:
+    """The run cache reads a JSONL store the way it reads a database:
+    the same rows and payload sizes, through the one JSONL reader."""
+
+    def test_rows_and_sizes_match_the_migrated_database(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.cli import main
+        from repro.service import DbResultStore
+
+        store, runs = _populated(tmp_path, _scenarios())
+        monkeypatch.chdir(tmp_path)
+        assert main(["migrate", "runs.jsonl", "runs.sqlite"]) == 0
+        digests = {run.config_digest for run in runs[1:]}
+        from_jsonl = store.rows_for_digests(digests)
+        from_db = DbResultStore(tmp_path / "runs.sqlite").rows_for_digests(digests)
+        assert len(from_jsonl) == len(runs) - 1
+        assert [(run.to_dict(), size) for run, size in from_jsonl] == [
+            (run.to_dict(), size) for run, size in from_db
+        ]
+
+    def test_torn_tail_is_skipped(self, tmp_path):
+        store, runs = _populated(tmp_path, _scenarios())
+        _tear_last_line(store.path)
+        rows = store.rows_for_digests({run.config_digest for run in runs})
+        assert [run.to_dict() for run, _ in rows] == [
+            run.to_dict() for run in runs[:-1]
+        ]
+
+    def test_corrupt_mid_file_record_raises(self, tmp_path):
+        store, runs = _populated(tmp_path, _scenarios())
+        lines = store.path.read_text().splitlines(keepends=True)
+        lines[1] = lines[1][: len(lines[1]) // 2] + "\n"
+        store.path.write_text("".join(lines))
+        with pytest.raises(ExperimentError, match="corrupt record"):
+            store.rows_for_digests({runs[0].config_digest})
+
+    def test_newer_format_version_refused(self, tmp_path):
+        store, runs = _populated(tmp_path, _scenarios())
+        lines = store.path.read_text().splitlines()
+        record = json.loads(lines[-1])
+        record["format_version"] = STORE_FORMAT_VERSION + 1
+        lines[-1] = json.dumps(record)
+        store.path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ExperimentError, match="upgrade"):
+            store.rows_for_digests({runs[0].config_digest})
 
 
 class TestMissingCellReport:
