@@ -53,9 +53,10 @@ class ExperimentSpec:
     def run(self, **options: Any) -> Any:
         """Invoke the experiment with the subset of options it declares.
 
-        The CLI and the campaign server pass one option set to every
+        ``run all`` and the campaign server pass one option set to every
         experiment, so an option another registered experiment declares
-        is dropped here.  One that no registered experiment declares is a
+        is dropped here (``run <name>`` refuses such a flag before it
+        gets here).  One that no registered experiment declares is a
         typo, and raises instead of silently running the defaults.
         """
         known = _known_options()

@@ -34,6 +34,11 @@ experiments on the structure-of-arrays engine::
 
     repro-caem run ext-scale --backend vector --preset quick
 
+``--backend``, ``--loads`` and ``--profile-rounds`` reach only the
+experiments that take them: naming one for an experiment that does not
+(``run fig8 --backend vector``) is an error, and ``run all`` passes each
+experiment the ones it takes.
+
 ``--executor SPEC`` names how the experiment's scenario grid runs —
 ``serial`` (the default), ``pool:N``, ``supervised:timeout=S,retries=N``
 or ``distributed:local=N`` — and tables are identical under every one.
@@ -61,6 +66,8 @@ def _known_names() -> List[str]:
 
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree (exposed for tests)."""
+    from .experiments import DEFAULT_LOADS_PPS
+
     parser = argparse.ArgumentParser(
         prog="repro-caem",
         description="Regenerate the CAEM paper's tables and figures.",
@@ -102,8 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--loads",
         type=float,
         nargs="+",
-        default=[5.0, 10.0, 15.0, 20.0, 25.0, 30.0],
-        help="traffic loads (packets/s per node) for the sweep figures",
+        default=None,
+        help="traffic loads (packets/s per node) for the sweep figures "
+        f"(default: {' '.join(f'{v:g}' for v in DEFAULT_LOADS_PPS)})",
     )
     run_p.add_argument(
         "--executor",
@@ -345,7 +353,44 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The ``run`` flags that only some experiments take, by the option
+#: each passes to the experiment.
+_EXPERIMENT_FLAGS = {
+    "loads_pps": "--loads",
+    "backend": "--backend",
+    "profile_rounds": "--profile-rounds",
+}
+
+
+def _experiment_options(args: argparse.Namespace) -> dict:
+    """The experiment options the ``run`` flags name (None: not given)."""
+    return {
+        "loads_pps": None if args.loads is None else tuple(args.loads),
+        "backend": args.backend,
+        "profile_rounds": args.profile_rounds,
+    }
+
+
+def _refuse_untaken_flags(args: argparse.Namespace) -> None:
+    """A flag given for one named experiment that it does not take is an error.
+
+    ``run all`` passes each experiment the options it takes.
+    """
+    if args.experiment == "all":
+        return
+    spec = get_experiment(args.experiment)
+    for option, value in _experiment_options(args).items():
+        if value is None or spec.accepts(option):
+            continue
+        takers = [s.name for s in list_experiments() if s.accepts(option)]
+        raise ExperimentError(
+            f"{_EXPERIMENT_FLAGS[option]} does not apply to {spec.name}; "
+            f"experiments that take it: {', '.join(takers)}"
+        )
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
+    _refuse_untaken_flags(args)
     if args.profile:
         return _profiled(_cmd_run_body, args)
     return _cmd_run_body(args)
@@ -426,9 +471,7 @@ def _cmd_run_body(args: argparse.Namespace) -> int:
             figure = spec.run(
                 preset=args.preset,
                 seeds=tuple(args.seeds),
-                loads_pps=tuple(args.loads),
-                backend=args.backend,
-                profile_rounds=args.profile_rounds,
+                **_experiment_options(args),
             )
             sys.stdout.write(figure.render())
             sys.stdout.write("\n")

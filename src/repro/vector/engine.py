@@ -82,6 +82,31 @@ demand exceeds its level every pro-rating ratio is exactly 1.0, and the
 per-cause ledger adds ``float(vals.sum())`` without the gather and
 multiply.
 
+Traffic, policy and the settle touch only the nodes that act in a step,
+with the bytes a pass over every node would give:
+
+* Steady sources draw ``poisson(rate * dt, size)`` over the up,
+  non-bursty nodes alone, and ON/OFF sources only where their step rate
+  is positive, i.e. the up sources that were ON during the step.
+  numpy's ``random_poisson`` returns 0 for a rate of 0 without touching
+  the bit generator, and ``Generator.poisson`` calls it once per element,
+  in order, for an array of rates and for one rate with a size.  So
+  leaving the zero-rate nodes out skips no draw and reorders none.
+* The sources that got arrivals are all up.  Their accepted packets go
+  onto the rings in one scatter (:meth:`VectorNetwork._enqueue`):
+  packet ``j`` of a node lands in slot ``(qstart + qlen + j) % B``, and
+  acceptance leaves room for every packet, so each write hits its own
+  free slot and their order cannot matter.  The policy step reads the
+  same ``(nodes, counts)``.
+* One member pass a step, ``au`` (attached and up) and ``qual`` (the
+  access rule at the step's end), serves both the MAC and the
+  tone-monitoring charge of the settle.  The rule is elementwise, so
+  the MAC's first sub-iteration may apply it before the busy-clock
+  filter instead of after.  Within a step only a race moves a member's
+  ring (a winner's pop, an exhausted collider's shed), so re-qualifying
+  the rows that raced gives the settle what a fresh pass over every
+  member would.
+
 The full channel envelope is vectorised: the exponential (Gauss-Markov)
 and Jakes-Doppler AR(1) fading bridges (:class:`repro.vector.state.ArStep`
 mirrors :class:`repro.channel.fading.RayleighFading`'s per-gap
@@ -114,6 +139,7 @@ from ..phy import AbicmTable
 from ..rng import RngRegistry, pcg64_states
 from ..routing import plan_routes
 from ..topology import GridIndex
+from .profile import RoundProfiler
 from .profile import attach as _attach_profiler
 from .state import ArStep, BatchReservoir, PerTables, SeriesRecorder
 
@@ -501,7 +527,6 @@ class VectorNetwork:
         the event loop pops anything.
         """
         opts = self.opts
-        prof = self._prof
         horizon = opts.horizon_s
         t = 0.0
         self._round_at(0.0)
@@ -530,20 +555,15 @@ class VectorNetwork:
                 if self.is_dead:
                     break
                 next_check = min(next_check + interval0, horizon)
-        if prof is not None:
-            prof.flush(t)
+        self._prof.flush(t)
         return t
 
     def _round_at(self, t: float) -> None:
         """Start the round at ``t``, flushing/charging the profiler."""
-        prof = self._prof
-        if prof is None:
-            self._start_round(t)
-            return
-        prof.flush(t)  # close the round that just elapsed
+        self._prof.flush(t)  # close the round that just elapsed
         w0 = time.perf_counter()
         self._start_round(t)
-        prof.lap("membership", w0)
+        self._prof.lap("membership", w0)
 
     def _drain_dynamics(self, t: float):
         out = []
@@ -779,34 +799,24 @@ class VectorNetwork:
         self._charges = []
         up = self.up
         prof = self._prof
-        if prof is None:
-            self._advance_channel(sdt)
-            acc = self._traffic_step(t0, sdt, up)
-            if self.cfg.protocol is Protocol.CAEM_ADAPTIVE:
-                self._policy_step(acc)
-            if self.heads.size:
-                self._mac_step(t0, t1)
-                if self.cfg.routing.enabled:
-                    self._uplink_step(t0, t1)
-            self._energy_settle(t0, sdt, up)
-            return
-        # Profiled variant: same calls, a perf_counter lap per phase.
         prof.step()
         w = time.perf_counter()
         self._advance_channel(sdt)
         w = prof.lap("channel", w)
-        acc = self._traffic_step(t0, sdt, up)
+        nodes, counts = self._traffic_step(t0, sdt, up)
         w = prof.lap("traffic", w)
         if self.cfg.protocol is Protocol.CAEM_ADAPTIVE:
-            self._policy_step(acc)
+            self._policy_step(nodes, counts)
             w = prof.lap("policy", w)
+        # Without heads there are no members, so none monitors the tone.
+        monitoring = self.m_ids
         if self.heads.size:
-            self._mac_step(t0, t1)
+            monitoring = self._mac_step(t0, t1)
             w = prof.lap("mac", w)
             if self.cfg.routing.enabled:
                 self._uplink_step(t0, t1)
                 w = prof.lap("uplink", w)
-        self._energy_settle(t0, sdt, up)
+        self._energy_settle(t0, sdt, monitoring)
         prof.lap("energy", w)
 
     def _advance_channel(self, sdt: float) -> None:
@@ -838,22 +848,27 @@ class VectorNetwork:
 
     # -- traffic -------------------------------------------------------------
 
-    def _traffic_step(self, t0: float, sdt: float, up: np.ndarray) -> np.ndarray:
-        """Batch-draw arrivals; returns accepted-arrival counts per node."""
+    def _traffic_step(
+        self, t0: float, sdt: float, up: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Batch-draw arrivals and enqueue them.
+
+        Returns ``(nodes, counts)``: the sensors that accepted arrivals,
+        ascending, and how many each accepted.
+        """
         cfg = self.cfg.traffic
         rate = cfg.packets_per_second
         n = self.n
-        lam = np.where(up, rate, 0.0)
-        if self._bursty.any():
-            lam = np.where(self._bursty, 0.0, lam)
-        if cfg.source_model == "cbr" and not self._bursty.all():
-            steady = up & ~self._bursty
-            self._cbr_acc[steady] += rate * sdt
-            k = np.zeros(n, dtype=np.int64)
-            k[steady] = self._cbr_acc[steady].astype(np.int64)
-            self._cbr_acc[steady] -= k[steady]
+        # Steady sources draw only while up (see the module docstring).
+        live = np.flatnonzero(up & ~self._bursty)
+        k = np.zeros(n, dtype=np.int64)
+        if cfg.source_model == "cbr":
+            acc = self._cbr_acc[live] + rate * sdt
+            got = acc.astype(np.int64)
+            self._cbr_acc[live] = acc - got
+            k[live] = got
         else:
-            k = self._traf_rng.poisson(lam * sdt)
+            k[live] = self._traf_rng.poisson(rate * sdt, live.size)
         # ON/OFF nodes: two-state flip chain (statistical stand-in for
         # the event kernel's OnOffSource; mean rate preserved).
         if self._onoff_nodes.size:
@@ -890,16 +905,17 @@ class VectorNetwork:
                 self._on_state[cids] = state
                 on_frac[crossing] = on_times
             burst_lam = np.where(up[ids], self._onoff_rate, 0.0) * on_frac
-            k[ids] = self._traf_rng.poisson(burst_lam)
-        total = int(k.sum())
-        if total == 0:
-            return np.zeros(n, dtype=np.int64)
-        self.generated += total
+            lit = np.flatnonzero(burst_lam > 0)
+            k[ids[lit]] = self._traf_rng.poisson(burst_lam[lit])
+        # Every source with arrivals is up.
+        act = np.flatnonzero(k)
+        if act.size == 0:
+            return act, act
+        self.generated += int(k[act].sum())
         birth = t0 + 0.5 * sdt
         # Heads aggregate their own data without the radio.
-        head_arr = k * (self.is_head & up)
-        if head_arr.any():
-            hk = head_arr[self.heads]
+        hk = k[self.heads]
+        if hk.any():
             if self.cfg.routing.enabled:
                 for c in np.flatnonzero(hk):
                     cnt = int(hk[c])
@@ -915,40 +931,55 @@ class VectorNetwork:
                 self.delivered_bits += cnt * self.bits
                 if self.bits_by_src is not None:
                     np.add.at(self.bits_by_src, self.heads, hk * self.bits)
-        # Sensors: ring-buffer offers, overflow counted.
-        kk = np.where(self.is_head, 0, k)
-        acc = np.minimum(kk, self.B - self.qlen)
-        overflow = int((kk - acc).sum())
+        return self._enqueue(k, act, birth)
+
+    def _enqueue(
+        self, k: np.ndarray, act: np.ndarray, birth: float
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Offer ``k[i]`` packets born at ``birth`` to each sensor ``i`` in ``act``.
+
+        Heads in ``act`` are skipped (they aggregate without the radio)
+        and what a ring has no room for is overflow.  The accepted
+        packets go in with one scatter: packet ``j`` of a node lands in
+        slot ``(qstart + qlen + j) % B``, and acceptance left room for
+        every one, so no write lands on a queued slot or on another's.
+        Returns ``(nodes, counts)``, the sensors that accepted packets
+        (in ``act`` order) and how many each took.
+        """
+        act = act[~self.is_head[act]]
+        offered = k[act]
+        acc = np.minimum(offered, self.B - self.qlen[act])
+        overflow = int((offered - acc).sum())
         if overflow:
             self.dropped_overflow += overflow
-        kmax = int(acc.max()) if acc.size else 0
+        took = acc > 0
+        nodes, acc = act[took], acc[took]
         B = self.B
-        qbirth, qsrc = self.qbirth.ravel(), self.qsrc.ravel()
-        src_ids = np.arange(n, dtype=np.int32)
-        for j in range(kmax):
-            sel = np.flatnonzero(acc > j)
-            flat = sel * B + (self.qstart[sel] + self.qlen[sel] + j) % B
-            qbirth[flat] = birth
-            qsrc[flat] = src_ids[sel]
-        self.qlen += acc
-        return acc
+        src = np.repeat(nodes, acc)
+        j = np.arange(src.size) - np.repeat(np.cumsum(acc) - acc, acc)
+        flat = src * B + (self.qstart[src] + self.qlen[src] + j) % B
+        self.qbirth.ravel()[flat] = birth
+        self.qsrc.ravel()[flat] = src
+        self.qlen[nodes] += acc
+        return nodes, acc
 
     # -- Scheme-1 policy -----------------------------------------------------
 
-    def _policy_step(self, acc: np.ndarray) -> None:
+    def _policy_step(self, nodes: np.ndarray, counts: np.ndarray) -> None:
         """Batched queue-sampling controller (repro.policy.adaptive).
 
-        The event kernel samples at every M-th accepted arrival; here a
-        node whose arrival counter crossed M samples once, at step end,
-        with its end-of-step queue length — one controller decision per
-        coherence step at most (documented approximation).
+        ``nodes`` accepted ``counts`` arrivals this step (ascending ids,
+        as :meth:`_traffic_step` returns them).  The event kernel
+        samples at every M-th accepted arrival; here a node whose
+        arrival counter crossed M samples once, at step end, with its
+        end-of-step queue length — one controller decision per coherence
+        step at most (documented approximation).
         """
-        got = np.flatnonzero(acc)
-        if got.size == 0:
+        if nodes.size == 0:
             return
-        self.pol_ctr[got] += acc[got]
+        self.pol_ctr[nodes] += counts
         M = self.cfg.policy.sample_interval_packets
-        smp = got[self.pol_ctr[got] >= M]
+        smp = nodes[self.pol_ctr[nodes] >= M]
         if smp.size == 0:
             return
         self.pol_ctr[smp] %= M
@@ -973,27 +1004,37 @@ class VectorNetwork:
 
     # -- cluster MAC ---------------------------------------------------------
 
-    def _mac_step(self, t0: float, t1: float) -> None:
-        m = self.m_ids.size
-        if m == 0:
-            return
+    def _mac_step(self, t0: float, t1: float) -> np.ndarray:
+        """Race the step's contenders, cluster by cluster.
+
+        Returns the attached, up members whose queues qualify for access
+        at ``t1`` once the races are over: the ones that pay tone-radio
+        monitoring in :meth:`_energy_settle`.
+        """
+        ids = self.m_ids
+        if ids.size == 0:
+            return ids
         snr = self._member_snr()
         mac = self.cfg.mac
         h = self.heads.size
-        ids = self.m_ids
         # Step-invariant eligibility, hoisted out of the race loop:
         # deaths and head outages land at the dynamics/energy barriers
         # and class updates in the policy phase, so within one step only
         # queue state and the cluster busy clocks move.  The working set
         # also only shrinks (busy clocks are monotone within a step), so
         # each sub-iteration re-evaluates the queues of a dwindling
-        # candidate list instead of the whole population.
-        base = self.attached[ids] & self.up[ids] & self.head_up[self.m_cl]
+        # candidate list instead of the whole population.  The member
+        # pass ``au``/``qual`` is the step's one: the energy settle
+        # reads it too (see the module docstring).
+        au = self.attached[ids] & self.up[ids]
+        qual = self._qualifies(ids, t1)
+        base = au & self.head_up[self.m_cl]
         if self.gated:
             base &= snr >= self.thr[self.cls[ids]]
-        rows = np.flatnonzero(base)
+        rows = np.flatnonzero(base & qual)
         sent = []  # one _mac_transmit record per race, in race order
-        for _ in range(_MAC_SUB_ITERS):
+        raced = []  # member rows whose rings a race may have changed
+        for it in range(_MAC_SUB_ITERS):
             if rows.size:
                 rows = rows[self.busy[self.m_cl[rows]] < t1]
             if rows.size == 0:
@@ -1003,10 +1044,12 @@ class VectorNetwork:
             # popped, an exhausted collider's is shed), and a member
             # that is not ready never races.  So dropping the unready
             # rows for good drops no one a later sub-iteration would
-            # find ready; winners stay and are re-tested next time.
-            rows = rows[self._qualifies(ids[rows], t1)]
-            if rows.size == 0:
-                break
+            # find ready; winners stay and are re-tested next time.  The
+            # first sub-iteration's rows were qualified by ``qual``.
+            if it:
+                rows = rows[self._qualifies(ids[rows], t1)]
+                if rows.size == 0:
+                    break
             # Pulse-eligibility flicker: a ready sensor only joins the
             # race if it has accumulated the 8 ms sensing delay by the
             # time the idle pulse fires — losers cancelled mid-backoff
@@ -1048,6 +1091,7 @@ class VectorNetwork:
             clean = contested & ~collide
             if collide.any():
                 coll = in_window & collide[cl]
+                raced.append(cidx[coll])
                 self._mac_collide(
                     np.flatnonzero(collide),
                     winner,
@@ -1059,11 +1103,15 @@ class VectorNetwork:
                     t0,
                 )
             if clean.any():
-                sent.append(
-                    self._mac_transmit(np.flatnonzero(clean), winner, d1, snr, t0)
-                )
+                sc = np.flatnonzero(clean)
+                raced.append(winner[sc])
+                sent.append(self._mac_transmit(sc, winner, d1, snr, t0))
         if sent:
             self._mac_deliver(sent)
+        if raced:
+            rows = np.concatenate(raced)
+            qual[rows] = self._qualifies(ids[rows], t1)
+        return ids[qual & au]
 
     def _mac_collide(
         self,
@@ -1438,7 +1486,7 @@ class VectorNetwork:
 
     # -- energy --------------------------------------------------------------
 
-    def _energy_settle(self, t0: float, sdt: float, up: np.ndarray) -> None:
+    def _energy_settle(self, t0: float, sdt: float, monitoring: np.ndarray) -> None:
         # Continuous draws for this step.
         alive_ids = np.flatnonzero(self.alive)
         if alive_ids.size:
@@ -1457,19 +1505,14 @@ class VectorNetwork:
         # the moment its buffer drops below the burst minimum
         # (CaemSensorMac._consider_access -> _go_sleep), so idle-queue
         # members spend the step at sleep power, not monitor power.
-        if self.m_ids.size:
-            ids = self.m_ids
-            qual = self._qualifies(ids, t0 + sdt)
-            att = ids[qual & self.attached[ids] & up[ids]]
-        else:
-            att = np.empty(0, dtype=np.int64)
-        if att.size:
+        # ``monitoring`` is those members, as the MAC phase left them.
+        if monitoring.size:
             self._charges.append(
                 (
                     "tone_rx",
-                    att,
+                    monitoring,
                     np.full(
-                        att.size,
+                        monitoring.size,
                         self.model.power_w("tone_rx")
                         * self.cfg.tone.monitor_duty_cycle
                         * sdt,
@@ -1555,7 +1598,7 @@ def measure(cfg: NetworkConfig, opts, tracer=None):
 
     net = VectorNetwork(cfg, opts, tracer=tracer)
     elapsed = net.run()
-    if net._prof is not None:
+    if isinstance(net._prof, RoundProfiler):
         net._prof.dump(
             opts.profile_rounds,
             n_nodes=cfg.n_nodes,

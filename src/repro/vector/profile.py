@@ -5,9 +5,9 @@ handful of array phases — membership assignment at round boundaries,
 the CSMA mirrors, the AR(1) channel advance.  :class:`RoundProfiler`
 accumulates ``perf_counter`` laps per phase, flushes one record per
 LEACH round, and dumps a JSON timeline that names the dominant phases
-directly (no pstats spelunking).  The engine only takes laps when a
-profiler is attached, so the unprofiled hot path pays a single ``is
-None`` check per step.
+directly (no pstats spelunking).  The engine's step laps through
+whichever profiler :func:`attach` gives it; an unprofiled run gets a
+:class:`NullProfiler`, whose calls record nothing.
 
 Schema (``profile_rounds/v1``)::
 
@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Union
 
-__all__ = ["PHASES", "RoundProfiler"]
+__all__ = ["PHASES", "NullProfiler", "RoundProfiler"]
 
 #: Canonical phase order for reports.  ``membership`` is the whole
 #: round-boundary setup (election, routing plan, nearest-head grid query);
@@ -107,10 +107,26 @@ class RoundProfiler:
             fh.write("\n")
 
 
-def attach(opts) -> Optional[RoundProfiler]:
-    """The engine-side constructor hook: a profiler iff the option is set.
+class NullProfiler:
+    """The profiler of an unprofiled run: every call records nothing."""
+
+    def lap(self, phase: str, since: float) -> float:
+        return since
+
+    def step(self) -> None:
+        pass
+
+    def flush(self, sim_time_s: float) -> None:
+        pass
+
+
+def attach(opts) -> Union[RoundProfiler, NullProfiler]:
+    """The engine-side constructor hook: a :class:`RoundProfiler` iff the
+    option is set, else a :class:`NullProfiler`.
 
     ``getattr`` keeps the engine compatible with hand-rolled options
     objects (tests construct bare namespaces) that predate the field.
     """
-    return RoundProfiler() if getattr(opts, "profile_rounds", None) else None
+    if getattr(opts, "profile_rounds", None):
+        return RoundProfiler()
+    return NullProfiler()

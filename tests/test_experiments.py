@@ -183,3 +183,42 @@ class TestCli:
     def test_bad_experiment_rejected(self):
         with pytest.raises(SystemExit):
             self._run("fig99")
+
+    @pytest.mark.parametrize("argv, flag, takers", [
+        (("fig8", "--backend", "vector"), "--backend", "ext-scale"),
+        (("fig8", "--loads", "99"), "--loads", "ext-perf, fig10, fig11, fig12"),
+        (("table1", "--profile-rounds", "rounds"), "--profile-rounds", "ext-scale"),
+    ], ids=["backend", "loads", "profile-rounds"])
+    def test_flag_the_experiment_does_not_take_is_refused(
+        self, argv, flag, takers, tmp_path, monkeypatch, capsys
+    ):
+        # Refused before any store is opened or simulation runs: no
+        # figure on stdout and no file left behind.
+        monkeypatch.chdir(tmp_path)
+        code = main(["run", *argv, "--preset", "smoke", "--cache", "c.sqlite"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert f"{flag} does not apply to {argv[0]}" in err
+        assert f"experiments that take it: {takers}" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_run_all_passes_each_experiment_its_own_flags(self, monkeypatch):
+        from repro.api import registry
+
+        seen = {}
+
+        def fake_run(spec, **options):
+            seen[spec.name] = {
+                k: v for k, v in options.items() if v is not None and spec.accepts(k)
+            }
+            return table1_tone_spec()
+
+        monkeypatch.setattr(registry.ExperimentSpec, "run", fake_run)
+        code, _out = self._run("run", "all", "--loads", "5", "--backend", "vector")
+        assert code == 0
+        assert seen["fig11"]["loads_pps"] == (5.0,)
+        assert seen["ext-scale"]["backend"] == "vector"
+        assert "backend" not in seen["fig8"] and "loads_pps" not in seen["fig8"]
+        # Without --loads the sweep figures run their default loads.
+        code, _out = self._run("run", "all")
+        assert code == 0 and "loads_pps" not in seen["fig11"]

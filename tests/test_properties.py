@@ -1,13 +1,15 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import dataclasses
 import math
 
 import numpy as np
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.api import RunOptions
 from repro.channel import GaussMarkovShadowing, RayleighFading
-from repro.config import MacConfig, PhyConfig
+from repro.config import MacConfig, NetworkConfig, PhyConfig, Protocol
 from repro.energy import Battery
 from repro.experiments.figures import _mean_over_seeds
 from repro.mac import BackoffPolicy
@@ -19,6 +21,7 @@ from repro.rng import RngRegistry
 from repro.sim import EventQueue, Simulator
 from repro.traffic import Packet, PacketBuffer
 from repro.units import db_to_linear, linear_to_db
+from repro.vector.engine import VectorNetwork
 from repro.vector.state import BatchReservoir
 
 _TABLE = AbicmTable.from_config(PhyConfig())
@@ -452,3 +455,191 @@ class TestVectorExactReductions:
         assert batched.count == one.count
         assert _bits(batched.samples()) == _bits(one.samples())
         assert batched.rng.random() == one.rng.random()
+
+
+def _vector_net(cfg: NetworkConfig) -> VectorNetwork:
+    return VectorNetwork(
+        cfg.with_scale(backend="vector"),
+        RunOptions(horizon_s=5.0, sample_interval_s=1.0),
+    )
+
+
+def _twin(rng: np.random.Generator) -> np.random.Generator:
+    """A generator that continues exactly where ``rng`` stands."""
+    twin = np.random.Generator(np.random.PCG64())
+    twin.bit_generator.state = rng.bit_generator.state
+    return twin
+
+
+@st.composite
+def _sources(draw):
+    """A fresh network's traffic state: who is up, who is bursty and ON.
+
+    Rates reach past 100 pkt/s so that a step's mean crosses 10, where
+    numpy's Poisson sampler switches algorithm.
+    """
+    n = draw(st.integers(min_value=2, max_value=40))
+    rate = draw(st.sampled_from([0.3, 5.0, 150.0]))
+    onoff = draw(st.booleans())
+    cfg = NetworkConfig(n_nodes=n, seed=draw(st.integers(1, 2**31))).with_traffic(
+        packets_per_second=rate,
+        buffer_packets=10_000,
+        source_model="onoff" if onoff else "poisson",
+    )
+    if not onoff:
+        cfg = cfg.with_dynamics(bursty_fraction=draw(st.sampled_from([0.0, 0.5])))
+    net = _vector_net(cfg)
+    mask = st.lists(st.booleans(), min_size=n, max_size=n)
+    net.alive[:] = draw(mask)
+    net.failed[:] = draw(mask)
+    # Some sources switch phase inside the step, some more than once.
+    switch = st.one_of(st.just(np.inf), st.floats(0.0, 0.12))
+    net._on_switch[:] = draw(st.lists(switch, min_size=n, max_size=n))
+    net._on_state[:] = draw(mask)
+    sdt = draw(st.sampled_from([0.1, 0.05]))
+    return net, sdt
+
+
+def _full_pass_arrivals(net: VectorNetwork, sdt: float, rng) -> np.ndarray:
+    """A step's arrivals at t=0 as one Poisson draw over every node (zeros
+    where a node cannot send), then the ON/OFF chain node by node and one
+    draw over every ON/OFF source."""
+    up = net.up
+    traffic = net.cfg.traffic
+    k = rng.poisson(np.where(up & ~net._bursty, traffic.packets_per_second, 0.0) * sdt)
+    ids = net._onoff_nodes
+    if ids.size:
+        on_frac = np.where(net._on_state[ids], sdt, 0.0)
+        on_mean = traffic.onoff_on_s
+        off_mean = traffic.onoff_off_s if traffic.onoff_off_s > 0 else on_mean
+        for i, node in enumerate(ids):
+            sw, on, on_time, seg = net._on_switch[node], net._on_state[node], 0.0, 0.0
+            if sw > sdt:
+                continue
+            while sw <= sdt:
+                if on:
+                    on_time += sw - seg
+                seg, on = max(sw, 0.0), not on
+                sw += float(rng.exponential(on_mean if on else off_mean))
+            on_frac[i] = on_time + (sdt - seg if on else 0.0)
+        k[ids] = rng.poisson(np.where(up[ids], net._onoff_rate, 0.0) * on_frac)
+    return k
+
+
+@st.composite
+def _rings(draw):
+    """Ring buffers mid-run: wrapped starts, empty to full rings, heads."""
+    n = draw(st.integers(min_value=2, max_value=30))
+    B = draw(st.integers(min_value=1, max_value=8))
+
+    def per_node(elems, dtype):
+        return np.asarray(draw(st.lists(elems, min_size=n, max_size=n)), dtype=dtype)
+
+    qstart = per_node(st.integers(0, B - 1), np.int64)
+    qlen = per_node(st.sampled_from([0, B - 1, B]) | st.integers(0, B), np.int64)
+    k = per_node(st.integers(0, B + 2), np.int64)
+    is_head = per_node(st.booleans(), bool)
+    return n, B, qstart, qlen, k, is_head
+
+
+class TestVectorActiveNodes:
+    """A step that touches only the nodes that act in it gives the bytes
+    of the pass over every node it replaced."""
+
+    @given(_sources())
+    @settings(max_examples=60, deadline=None)
+    def test_steady_poisson_over_live_sources_equals_full_draw(self, case):
+        # (a) One scalar rate with a size, drawn over the up non-bursty
+        # nodes, against an array of rates with zeros elsewhere.  Every
+        # ON/OFF source stays OFF, so only the steady draw runs.
+        net, sdt = case
+        net._on_state[:] = False
+        net._on_switch[:] = np.inf
+        ref = _twin(net._traf_rng)
+        k = _full_pass_arrivals(net, sdt, ref)
+        nodes, counts = net._traffic_step(0.0, sdt, net.up)
+        assert nodes.tolist() == np.flatnonzero(k).tolist()
+        assert counts.tolist() == k[k > 0].tolist()
+        assert net.generated == int(k.sum())
+        assert net._traf_rng.random() == ref.random()
+
+    @given(_sources())
+    @settings(max_examples=60, deadline=None)
+    def test_onoff_poisson_over_positive_rates_equals_full_draw(self, case):
+        # (b) An array of rates restricted to its positive entries (the
+        # up sources that were ON for part of the step) against the
+        # whole array.
+        net, sdt = case
+        ref = _twin(net._traf_rng)
+        k = _full_pass_arrivals(net, sdt, ref)
+        nodes, counts = net._traffic_step(0.0, sdt, net.up)
+        assert nodes.tolist() == np.flatnonzero(k).tolist()
+        assert counts.tolist() == k[k > 0].tolist()
+        assert net._traf_rng.random() == ref.random()
+
+    @given(_rings(), st.integers(0, 2**31))
+    @settings(max_examples=200, deadline=None)
+    def test_one_scatter_enqueue_equals_per_packet_loop(self, rings, seed):
+        # (c) The engine's enqueue against the loop it replaced: one
+        # vector write per packet index j, over every node.
+        n, B, qstart, qlen, k, is_head = rings
+        net = _vector_net(NetworkConfig(n_nodes=n).with_traffic(buffer_packets=B))
+        fill = np.random.default_rng(seed)
+        net.qbirth[:] = fill.random((n, B))
+        net.qsrc[:] = fill.integers(0, n, (n, B))
+        net.qstart[:], net.qlen[:], net.is_head[:] = qstart, qlen, is_head
+        want_birth, want_src = net.qbirth.copy(), net.qsrc.copy()
+        want_len = qlen.copy()
+
+        kk = np.where(is_head, 0, k)
+        acc = np.minimum(kk, B - want_len)
+        for j in range(int(acc.max())):
+            sel = np.flatnonzero(acc > j)
+            flat = sel * B + (qstart[sel] + want_len[sel] + j) % B
+            want_birth.ravel()[flat] = 7.25
+            want_src.ravel()[flat] = sel
+        want_len += acc
+
+        nodes, counts = net._enqueue(k, np.flatnonzero(k), 7.25)
+        assert nodes.tolist() == np.flatnonzero(acc).tolist()
+        assert counts.tolist() == acc[acc > 0].tolist()
+        assert net.dropped_overflow == int((kk - acc).sum())
+        assert net.qlen.tolist() == want_len.tolist()
+        assert _bits(net.qbirth) == _bits(want_birth)
+        assert net.qsrc.tolist() == want_src.tolist()
+
+    @given(
+        st.integers(1, 2**31),
+        st.integers(min_value=15, max_value=80),
+        st.sampled_from([2.0, 10.0, 40.0]),
+        st.sampled_from(list(Protocol)),
+        st.sampled_from([0, 1, 3]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_fixed_up_member_pass_equals_fresh_qualification(
+        self, seed, n, load, protocol, max_retries
+    ):
+        # (d) The MAC's one member pass, re-qualified on the rows that
+        # raced, against the access rule run afresh on every member
+        # once the races are over.
+        steps = []
+
+        class Checked(VectorNetwork):
+            def _mac_step(self, t0, t1):
+                got = super()._mac_step(t0, t1)
+                ids = self.m_ids
+                live = self.attached[ids] & self.up[ids]
+                assert got.tolist() == ids[self._qualifies(ids, t1) & live].tolist()
+                steps.append(t1)
+                return got
+
+        cfg = NetworkConfig(n_nodes=n, seed=seed).with_traffic(
+            packets_per_second=load
+        ).with_protocol(protocol).with_dynamics(
+            failure_rate_hz=0.05, mean_downtime_s=1.0
+        )
+        cfg = dataclasses.replace(
+            cfg, mac=dataclasses.replace(cfg.mac, max_retries=max_retries)
+        ).with_scale(backend="vector")
+        Checked(cfg, RunOptions(horizon_s=4.0, sample_interval_s=1.0)).run()
+        assert steps  # the MAC ran

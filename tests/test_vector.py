@@ -266,6 +266,11 @@ def _pin_config(case: str) -> NetworkConfig:
         )
     if case == "onoff":
         return cfg.with_traffic(source_model="onoff")
+    if case == "cbr_bursty":
+        # The CBR accumulator on the steady half, ON/OFF on the rest.
+        return cfg.with_traffic(source_model="cbr").with_dynamics(
+            **_PIN_CHURN, bursty_fraction=0.5
+        )
     if case == "multihop_churn":
         # At N=300 packets reach the sink; at N=1500 the shared uplink
         # overflows so far that the sink receives none.
@@ -319,6 +324,10 @@ _PINS = {
     "onoff": (
         "37caa9281a1a031403703de76b90af1a"
         "546f85c9a956fbd4fc53e684124381fd"
+    ),
+    "cbr_bursty": (
+        "3057162a5de17b75f1e4577875b6b9dc"
+        "d6466bc99114f391fedecb84e161b40b"
     ),
     "multihop_churn": (
         "be080604bfdac5a6e2c766f3483c0a1a"
