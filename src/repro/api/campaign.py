@@ -3,9 +3,9 @@
 A :class:`Campaign` turns one template :class:`~repro.api.Scenario` plus a
 set of axes (protocol × load × seed × any config field) into an ordered
 work list, and runs it through a pluggable executor — anything an
-:class:`~repro.exec.ExecutorSpec` can name: in-process serial, a
-process-pool fan-out, the fault-tolerant supervised executor, or the
-multi-host distributed backend.
+:class:`~repro.exec.ExecutorSpec` can name: in-process serial, the
+local worker pool (``pool``, or ``supervised`` with retries and a
+watchdog), or the multi-host distributed backend.
 
 Because every work item is fully specified by its frozen scenario (all
 randomness derives from ``config.seed``), the results are **bit-identical

@@ -3,7 +3,7 @@
 Every simulation — whether launched through :func:`repro.api.Scenario.run`
 or a :class:`repro.api.Campaign` — distils into one :class:`RunResult`
 through :func:`repro.api.simulate`.  The record is a plain dataclass so
-it pickles across process-pool workers and round-trips through JSON for
+it pickles across worker processes and round-trips through JSON for
 the :class:`repro.api.ResultStore`.
 
 Both engines fill it the same way: each returns the fields it measured

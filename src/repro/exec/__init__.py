@@ -9,14 +9,14 @@ Everything that decides *how* a scenario grid runs lives here:
   :class:`ExecutionHooks` (store and event surface), and
   the failure vocabulary (:class:`CellFailure`,
   :class:`CampaignIncompleteError`);
-* :mod:`~repro.exec.local` — :class:`SerialExecutor` and
-  :class:`PoolExecutor` (in-process / process pool), and
-  ``run_attempt``, the one body of a fault-tolerant cell attempt;
+* :mod:`~repro.exec.local` — :class:`SerialExecutor` (in-process),
+  and ``run_attempt``, the one body of a cell attempt in a worker;
 * :mod:`~repro.exec.board` — :class:`LeaseBoard`, the one
   retry/quarantine state machine, and ``settle``, the one loop that
   turns a board into results, events and grid-ordered store writes;
-* :mod:`~repro.exec.supervised` — :class:`SupervisedExecutor`,
-  process-per-cell workers under a watchdog on a private board;
+* :mod:`~repro.exec.supervised` — :class:`SupervisedExecutor`, the one
+  local worker pool: forked workers kept for the whole grid, under a
+  watchdog on a private board (``pool`` is it with no retries);
 * :mod:`~repro.exec.coordinator` / :mod:`~repro.exec.worker` /
   :mod:`~repro.exec.distributed` — the multi-host work-stealing
   backend, serving its board over HTTP.
@@ -33,7 +33,7 @@ from .base import (
     get_executor,
 )
 from .board import LeaseBoard
-from .local import PoolExecutor, SerialExecutor
+from .local import SerialExecutor
 from .spec import EXECUTOR_KINDS, ExecutorSpec, active_executor, use_executor
 from .supervised import SupervisedExecutor
 
@@ -45,7 +45,6 @@ __all__ = [
     "ExecutorSpec",
     "EXECUTOR_KINDS",
     "LeaseBoard",
-    "PoolExecutor",
     "SerialExecutor",
     "SupervisedExecutor",
     "active_executor",

@@ -15,13 +15,13 @@ stack (stores, the run cache, the campaign server) builds on:
   :class:`CampaignIncompleteError`), never as a silently missing row.
 
 Backends: :class:`~repro.exec.local.SerialExecutor` (in-process),
-:class:`~repro.exec.local.PoolExecutor` (process pool),
-:class:`~repro.exec.supervised.SupervisedExecutor` (process-per-cell
-watchdog/retry/quarantine), and
+:class:`~repro.exec.supervised.SupervisedExecutor` (a pool of forked
+workers under a watchdog, with retry and quarantine; ``pool`` is it
+with no retries), and
 :class:`~repro.exec.distributed.DistributedExecutor` (multi-host
 work-stealing over HTTP).  :func:`get_executor` maps an
 :class:`~repro.exec.spec.ExecutorSpec` to the right one.  The two
-fault-tolerant backends share one failure state machine
+parallel backends share one failure state machine
 (:class:`~repro.exec.board.LeaseBoard`) and one settle loop
 (:func:`~repro.exec.board.settle`), so their retry, quarantine and
 flush behaviour, and the events they emit, are the same.
@@ -149,16 +149,13 @@ class CampaignExecutor:
     """Protocol: execute a scenario grid, settle every cell exactly once.
 
     ``execute`` returns ``(results, failures)``: the index-aligned result
-    list (``None`` in failed slots) and the quarantined cells.  Backends
-    without a retry/quarantine notion (serial, pool) let cell exceptions
-    propagate and always return an empty failure list.  ``close``
-    releases whatever the executor holds open (process pools, the
-    distributed coordinator server, spawned local workers); it must be
+    list (``None`` in failed slots) and the quarantined cells.  The
+    serial backend has no retry/quarantine notion: it lets a cell's
+    exception propagate and always returns an empty failure list.
+    ``close`` releases whatever the executor holds open (the distributed
+    coordinator server and its spawned local workers); it must be
     idempotent.
     """
-
-    #: The ExecutorSpec kind this backend answers to.
-    kind: str = "?"
 
     @property
     def allow_partial(self) -> bool:
@@ -191,15 +188,11 @@ def get_executor(spec, board=None) -> CampaignExecutor:
 
     spec = ExecutorSpec.normalize(spec)
     kind = spec.kind
-    if kind == "serial":
+    if kind == "serial" or (kind == "pool" and spec.jobs == 1):
         from .local import SerialExecutor
 
         return SerialExecutor()
-    if kind == "pool":
-        from .local import PoolExecutor
-
-        return PoolExecutor(jobs=spec.jobs)
-    if kind == "supervised":
+    if kind in ("pool", "supervised"):
         from .supervised import SupervisedExecutor
 
         return SupervisedExecutor(spec)

@@ -2,9 +2,10 @@
 
 Only the board counts attempts, schedules retries and quarantines
 cells.  The distributed coordinator serves its board to remote workers
-over HTTP; the supervised executor keeps a private one that its forked
-children report to.  :func:`settle` is the one loop that turns a board
-into a campaign's results, events and grid-ordered store writes.
+over HTTP; the supervised worker pool (``pool`` and ``supervised``)
+keeps a private one that its forked workers report to.  :func:`settle`
+is the one loop that turns a board into a campaign's results, events
+and grid-ordered store writes.
 
 An idle worker *pulls* the next pending cell by taking a **lease** on
 it.  A lease is a time-boxed exclusive claim:

@@ -56,8 +56,6 @@ __all__ = ["DistributedExecutor"]
 class DistributedExecutor(CampaignExecutor):
     """Observe a lease board until every submitted cell settles."""
 
-    kind = "distributed"
-
     def __init__(self, spec: ExecutorSpec, board: Optional[LeaseBoard] = None):
         self.spec = spec
         self.board = board

@@ -1,13 +1,13 @@
-"""In-process executors: serial and process-pool, plus the cell bodies.
+"""The in-process executor, plus the body of a worker's cell attempt.
 
-Both flush each result through :meth:`ExecutionHooks.flush_done` and
-emit its ``cell`` event as ordered results arrive; both collect results
-in input order and let cell exceptions propagate (fault tolerance is
-the supervised/distributed executors' job).
+:class:`SerialExecutor` flushes each result through
+:meth:`ExecutionHooks.flush_done` and emits its ``cell`` event as it
+goes, and lets a cell's exception propagate (fault tolerance is the
+worker pool's job).
 
-:func:`run_attempt` is the one body of a fault-tolerant attempt: the
-supervised executor's child process and the distributed worker loop
-both run a cell through it.
+:func:`run_attempt` is the one body of a cell attempt in a worker: the
+supervised pool's forked workers (``pool`` and ``supervised``) and the
+distributed worker loop all run a cell through it.
 """
 
 from __future__ import annotations
@@ -17,12 +17,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from .base import CampaignExecutor, CellFailure, ExecutionHooks
 
-__all__ = ["SerialExecutor", "PoolExecutor", "execute_scenario", "run_attempt"]
-
-
-def execute_scenario(scenario):
-    """Top-level (picklable) worker body: run one scenario."""
-    return scenario.run()
+__all__ = ["SerialExecutor", "run_attempt"]
 
 
 def run_attempt(scenario, attempt: int) -> Tuple[str, Any]:
@@ -34,7 +29,7 @@ def run_attempt(scenario, attempt: int) -> Tuple[str, Any]:
     """
     try:
         consult_worker_faults(scenario, attempt)
-        return "ok", execute_scenario(scenario)
+        return "ok", scenario.run()
     except Exception:  # noqa: BLE001 - a cell failure is reported, not raised
         import traceback
 
@@ -64,8 +59,6 @@ def consult_worker_faults(scenario, attempt: int) -> None:
 class SerialExecutor(CampaignExecutor):
     """One cell at a time, in-process — always safe, always available."""
 
-    kind = "serial"
-
     def execute(
         self,
         scenarios: Sequence,
@@ -75,7 +68,7 @@ class SerialExecutor(CampaignExecutor):
         total = len(scenarios)
         results = []
         for i, sc in enumerate(scenarios):
-            run = execute_scenario(sc)
+            run = sc.run()
             hooks.flush_done(run)
             results.append(run)
             hooks.emit({
@@ -85,53 +78,4 @@ class SerialExecutor(CampaignExecutor):
                 "source": "sim",
                 "scenario": sc.describe(),
             })
-        return results, []
-
-
-class PoolExecutor(CampaignExecutor):
-    """Process-pool fan-out: ``jobs`` workers, results in input order.
-
-    ``map(chunksize=1)`` keeps the work queue balanced when run lengths
-    vary wildly (lifetime runs); because every scenario is fully
-    deterministic, the collected results are bit-identical to serial
-    execution.
-    """
-
-    kind = "pool"
-
-    def __init__(self, jobs: int = 2):
-        self.jobs = max(1, jobs)
-
-    def execute(
-        self,
-        scenarios: Sequence,
-        hooks: Optional[ExecutionHooks] = None,
-    ) -> Tuple[List, List[CellFailure]]:
-        hooks = hooks or ExecutionHooks()
-        if self.jobs <= 1 or len(scenarios) <= 1:
-            return SerialExecutor().execute(scenarios, hooks)
-        from concurrent.futures import ProcessPoolExecutor
-
-        from ..api.engine import import_engines
-
-        # Forked workers inherit the engine instead of each importing it.
-        import_engines(sc.config for sc in scenarios)
-        total = len(scenarios)
-        results = []
-        workers = min(self.jobs, total)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # map() preserves input order; chunksize=1 keeps the work
-            # queue balanced when run lengths vary wildly.
-            for i, run in enumerate(
-                pool.map(execute_scenario, scenarios, chunksize=1)
-            ):
-                hooks.flush_done(run)
-                results.append(run)
-                hooks.emit({
-                    "type": "cell",
-                    "index": i,
-                    "total": total,
-                    "source": "sim",
-                    "scenario": scenarios[i].describe(),
-                })
         return results, []

@@ -7,13 +7,18 @@ A spec is a declarative record that travels everywhere a campaign does:
 The four kinds::
 
     ExecutorSpec(kind="serial")                       # in-process, one cell at a time
-    ExecutorSpec(kind="pool", jobs=4)                 # process-pool fan-out
+    ExecutorSpec(kind="pool", jobs=4)                 # the worker pool, no retries
     ExecutorSpec(kind="supervised", jobs=2,
                  cell_timeout_s=30.0, retries=2)      # watchdog/retry/quarantine
     ExecutorSpec(kind="distributed",
                  bind="127.0.0.1:8400",
                  lease_timeout_s=30.0, retries=2,
                  local_workers=2)                     # multi-host work-stealing
+
+``pool`` and ``supervised`` are one executor, a pool of ``jobs``
+forked workers kept for the whole grid
+(:class:`~repro.exec.supervised.SupervisedExecutor`); they differ only
+in their default ``retries``, and ``pool`` at ``jobs=1`` runs serially.
 
 Each has a compact string form for the CLI and JSON specs —
 ``"serial"``, ``"pool:4"``, ``"supervised:jobs=2,timeout=30,retries=1"``,
@@ -81,24 +86,24 @@ _BOOL_WORDS = {
 class ExecutorSpec:
     """Declarative execution policy for one campaign (or a whole session).
 
-    Only the fields a kind consults matter to it: ``jobs`` is the pool
-    width (pool) or worker-process concurrency (supervised);
-    ``cell_timeout_s``/``retries``/backoff fields drive the supervised
-    watchdog; ``bind``/``lease_timeout_s``/``local_workers`` configure
-    the distributed coordinator.  ``retries`` counts attempts *beyond*
-    the first (``None`` means the kind's default: 2 for supervised and
-    distributed).
+    Only the fields a kind consults matter to it: ``jobs`` is the
+    worker-process count (pool, supervised);
+    ``cell_timeout_s``/``retries``/backoff fields drive the worker
+    pool's watchdog and retries; ``bind``/``lease_timeout_s``/
+    ``local_workers`` configure the distributed coordinator.
+    ``retries`` counts attempts *beyond* the first (``None`` means the
+    kind's default: 0 for pool, 2 for supervised and distributed).
     """
 
     kind: str = "serial"
-    #: Process-pool width (pool) / concurrent worker processes (supervised).
+    #: Concurrent worker processes (pool, supervised).
     jobs: int = 1
-    #: Per-cell wall-clock watchdog (supervised); ``None`` = none.
+    #: Per-cell wall-clock watchdog (pool, supervised); ``None`` = none.
     cell_timeout_s: Optional[float] = None
-    #: Retries beyond the first attempt (supervised/distributed);
-    #: ``None`` = the kind's default of 2.
+    #: Retries beyond the first attempt; ``None`` = the kind's default
+    #: (0 for pool, 2 for supervised and distributed).
     retries: Optional[int] = None
-    #: Capped-exponential retry backoff (supervised).
+    #: Capped-exponential retry backoff (pool, supervised).
     backoff_base_s: float = 0.25
     backoff_cap_s: float = 8.0
     #: Seed for the deterministic backoff jitter.
@@ -143,11 +148,12 @@ class ExecutorSpec:
     @property
     def max_attempts(self) -> int:
         """Total attempts per cell (first try + retries)."""
-        return (2 if self.retries is None else self.retries) + 1
+        default = 0 if self.kind == "pool" else 2
+        return (default if self.retries is None else self.retries) + 1
 
     def backoff_delay(self, index: int, attempt: int) -> float:
         """The deterministic retry delay after ``attempt`` of cell
-        ``index`` failed (supervised).
+        ``index`` failed (pool, supervised).
 
         Capped exponential with jitter in [50%, 100%] of the nominal
         delay; a pure function of ``(seed, index, attempt)`` so recovery

@@ -1,9 +1,14 @@
-"""The fault-tolerant executor: one worker process per cell attempt.
+"""The supervised worker pool: forked workers under a watchdog.
 
-Every grid cell runs in its **own worker process** under a wall-clock
-watchdog, which is what makes the recovery guarantees possible — a hung
-cell can be SIGKILLed without collateral damage, and a crashed worker
-takes down exactly one attempt.
+Up to ``jobs`` worker processes, forked on demand and kept for the whole
+:meth:`SupervisedExecutor.execute` call, run the grid one cell attempt
+at a time.  A worker loops: receive ``(scenario, attempt)`` over its
+pipe, send back :func:`~repro.exec.local.run_attempt`'s outcome, exit
+on EOF.  Every attempt runs under a wall-clock watchdog, which is what
+makes the recovery guarantees possible — a hung cell's worker can be
+SIGKILLed without collateral damage, and a crashed or killed worker
+takes down exactly one attempt; its slot forks a fresh worker for its
+next lease.
 
 Retry and quarantine are not decided here.  The cells sit on a private
 :class:`~repro.exec.board.LeaseBoard`, the state machine distributed
@@ -13,8 +18,9 @@ watchdog kill is ``timeout``, and a failed cell backs off for
 :meth:`~repro.exec.spec.ExecutorSpec.backoff_delay` before its next
 lease.  Its leases never expire: the watchdog is the failure detector.
 The shared :func:`~repro.exec.board.settle` loop emits the events and
-flushes results in grid order.  Whatever way ``execute`` exits, the
-children still running are killed and reaped.
+flushes results in grid order.  ``pool:N`` is this executor with no
+retries by default.  Whatever way ``execute`` exits, every worker is
+killed and reaped; a worker whose parent dies reads EOF and exits.
 """
 
 from __future__ import annotations
@@ -34,23 +40,28 @@ __all__ = ["SupervisedExecutor"]
 _PUMP_WAIT_S = 0.05
 
 
-def _supervised_child(conn, scenario, attempt: int) -> None:
-    """Body of one supervised worker process: run one cell, one attempt.
+def _worker_loop(conn, inherited) -> None:
+    """Body of one worker process: run attempts until the parent hangs up.
 
-    Sends :func:`~repro.exec.local.run_attempt`'s outcome back over
-    ``conn``.  A hard death (crash injection, SIGKILL, OOM) sends
-    nothing — the parent reads EOF and treats it as a crash.
+    ``inherited`` holds the parent's ends of this worker's pipe and of
+    every other live worker's.  A forked worker has copies of them and
+    must close those, or it never reads EOF once the parent dies.  A
+    hard death (crash injection, SIGKILL, OOM) sends nothing — the
+    parent reads EOF and treats it as a crash.
     """
+    for other in inherited:
+        other.close()
     try:
-        conn.send(run_attempt(scenario, attempt))
-    finally:
-        conn.close()
+        while True:
+            scenario, attempt = conn.recv()
+            conn.send(run_attempt(scenario, attempt))
+    except (EOFError, OSError):
+        pass  # the parent closed the pipe or died: nothing left to run
 
 
-class _Child(NamedTuple):
-    """One running attempt: its process and the lease it reports to."""
+class _Task(NamedTuple):
+    """One attempt a worker is running, and the lease it reports to."""
 
-    proc: Any
     lease_id: str
     index: int
     attempt: int
@@ -59,15 +70,13 @@ class _Child(NamedTuple):
 
 
 class SupervisedExecutor(CampaignExecutor):
-    """Process-per-cell workers and a watchdog on a private lease board.
+    """Long-lived forked workers and a watchdog on a private lease board.
 
     The policy is the spec's: ``jobs`` concurrent workers, a
     ``cell_timeout_s`` watchdog, ``max_attempts`` per cell with
     :meth:`~repro.exec.spec.ExecutorSpec.backoff_delay` between them,
     and ``allow_partial`` for ``None`` slots instead of raising.
     """
-
-    kind = "supervised"
 
     def __init__(self, spec: ExecutorSpec):
         self.spec = spec
@@ -89,85 +98,99 @@ class SupervisedExecutor(CampaignExecutor):
         spec = self.spec
         ctx = mp.get_context()
         scenarios = list(scenarios)
-        # Every attempt forks a fresh child: import the engine once here,
-        # not once per cell.
+        # Workers are forked from this process: import the engine once
+        # here, not once per worker.
         import_engines(sc.config for sc in scenarios)
         watchdog_s = (
             math.inf if spec.cell_timeout_s is None else spec.cell_timeout_s
         )
+        slots = min(spec.jobs, len(scenarios))
         board = LeaseBoard(lease_timeout_s=math.inf)
-        active: Dict[Any, _Child] = {}  # recv-conn -> running attempt
+        workers: Dict[int, Tuple[Any, Any]] = {}  # slot -> (process, pipe end)
+        running: Dict[Any, _Task] = {}  # pipe end -> the task it runs
 
-        def stop(conn) -> None:
-            child = active.pop(conn)
-            child.proc.kill()
-            child.proc.join()
+        def fork(slot: int):
+            conn, child_conn = ctx.Pipe()
+            inherited = [end for _, end in workers.values()] + [conn]
+            proc = ctx.Process(
+                target=_worker_loop, args=(child_conn, inherited), daemon=True
+            )
+            proc.start()
+            child_conn.close()
+            workers[slot] = (proc, conn)
+            return conn
+
+        def retire(slot: int) -> Optional[int]:
+            """Kill and reap a slot's worker; returns its exit code."""
+            proc, conn = workers.pop(slot)
+            proc.kill()
+            proc.join()
             conn.close()
+            return proc.exitcode
 
-        def fail(child: _Child, kind: str, error: str) -> None:
+        def fail(task: _Task, kind: str, error: str) -> None:
             board.fail(
-                child.lease_id, error, kind,
-                retry_after=spec.backoff_delay(child.index, child.attempt),
+                task.lease_id, error, kind,
+                retry_after=spec.backoff_delay(task.index, task.attempt),
             )
 
         def pump() -> None:
-            """Fill free slots, wait on the children, report outcomes."""
-            busy = {child.slot for child in active.values()}
-            for slot in sorted(set(range(spec.jobs)) - busy):
+            """Hand leases to idle slots, wait on the workers, report outcomes."""
+            busy = {task.slot for task in running.values()}
+            for slot in range(slots):
+                if slot in busy:
+                    continue
                 lease = board.lease(f"local-{slot}")
                 if lease is None:
                     break
-                index, attempt = lease["cell"], lease["attempt"]
-                recv_conn, send_conn = ctx.Pipe(duplex=False)
-                proc = ctx.Process(
-                    target=_supervised_child,
-                    args=(send_conn, scenarios[index], attempt),
-                    daemon=True,
-                )
-                proc.start()
-                send_conn.close()
-                active[recv_conn] = _Child(
-                    proc, lease["lease_id"], index, attempt, slot,
+                task = _Task(
+                    lease["lease_id"], lease["cell"], lease["attempt"], slot,
                     time.monotonic() + watchdog_s,
                 )
+                conn = workers[slot][1] if slot in workers else fork(slot)
+                try:
+                    conn.send((scenarios[task.index], task.attempt))
+                except OSError:
+                    pass  # the worker died idle: its EOF is read below
+                running[conn] = task
             now = time.monotonic()
             timeout = max(0.0, min(
-                [_PUMP_WAIT_S] + [c.deadline - now for c in active.values()]
+                [_PUMP_WAIT_S] + [t.deadline - now for t in running.values()]
             ))
-            if active:
-                fired = conn_wait(list(active), timeout=timeout)
+            if running:
+                fired = conn_wait(list(running), timeout=timeout)
             else:
                 fired = []
                 time.sleep(timeout)  # only backing-off cells remain
             for conn in fired:
-                child = active.pop(conn)
+                task = running.pop(conn)
                 try:
                     message = conn.recv()
                 except (EOFError, OSError):
                     message = None
-                conn.close()
-                child.proc.join()
                 if message is None:
+                    exitcode = retire(task.slot)
                     fail(
-                        child, "crash",
+                        task, "crash",
                         f"worker process died without a result on attempt "
-                        f"{child.attempt} (exit code {child.proc.exitcode}) "
+                        f"{task.attempt} (exit code {exitcode}) "
                         f"— crash, OOM kill, or SIGKILL",
                     )
                 elif message[0] == "ok":
-                    board.complete(child.lease_id, message[1])
+                    board.complete(task.lease_id, message[1])
                 else:
-                    fail(child, "error", message[1])
-            # Watchdog: kill anything past its wall-clock deadline.
+                    fail(task, "error", message[1])
+            # Watchdog: kill any worker past its attempt's deadline.
             now = time.monotonic()
-            for conn, child in list(active.items()):
-                if now >= child.deadline:
-                    stop(conn)
+            for conn, task in list(running.items()):
+                if now >= task.deadline:
+                    del running[conn]
+                    retire(task.slot)
                     fail(
-                        child, "timeout",
+                        task, "timeout",
                         f"cell exceeded the wall-clock watchdog "
                         f"({spec.cell_timeout_s:g}s) on attempt "
-                        f"{child.attempt} and was killed",
+                        f"{task.attempt} and was killed",
                     )
 
         try:
@@ -176,5 +199,5 @@ class SupervisedExecutor(CampaignExecutor):
                 hooks or ExecutionHooks(), spec.max_attempts, pump,
             )
         finally:
-            for conn in list(active):
-                stop(conn)
+            for slot in list(workers):
+                retire(slot)

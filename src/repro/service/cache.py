@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..api import campaign as _campaign
 from ..api.pairing import describe_key, pair_stored_runs, scenario_key
@@ -98,6 +98,9 @@ class RunCache:
         self.store = store
         self.stats = CacheStats()
         self.on_event = on_event
+        #: ``(scenarios, experiment)`` of every grid :meth:`execute` was
+        #: given, in call order (what :meth:`stored_runs` pairs again).
+        self.grids: List[Tuple[List, Optional[str]]] = []
 
     def _emit(self, event: Dict[str, Any]) -> None:
         if self.on_event is not None:
@@ -129,14 +132,8 @@ class RunCache:
         """
         scenarios = list(scenarios)
         executor = _campaign.resolve_executor(executor)
-        # Candidate ``(run, payload_bytes)`` rows for this grid.
-        candidates = self.store.rows_for_digests(
-            {scenario_key(sc)[4] for sc in scenarios}
-        )
-        sizes = {id(run): nbytes for run, nbytes in candidates}
-        paired, _missing = pair_stored_runs(
-            scenarios, [run for run, _ in candidates], experiment
-        )
+        self.grids.append((scenarios, experiment))
+        paired, sizes = self._pair(scenarios, experiment)
 
         total = len(scenarios)
         miss_indices = [i for i, run in enumerate(paired) if run is None]
@@ -200,6 +197,28 @@ class RunCache:
                 if run is not None:
                     store.append(run)
         return results
+
+    def _pair(self, scenarios, experiment):
+        """``scenarios`` paired with the store's rows (``None`` where it
+        has none), and each candidate row's payload size by ``id``."""
+        candidates = self.store.rows_for_digests(
+            {scenario_key(sc)[4] for sc in scenarios}
+        )
+        paired, _missing = pair_stored_runs(
+            scenarios, [run for run, _ in candidates], experiment
+        )
+        return paired, {id(run): nbytes for run, nbytes in candidates}
+
+    def stored_runs(self) -> List[RunResult]:
+        """The stored row of each cell of every grid this cache executed,
+        paired as :meth:`execute` pairs; cells with no row yet are left
+        out, so an unfinished campaign reports the rows it has."""
+        return [
+            run
+            for scenarios, experiment in list(self.grids)
+            for run in self._pair(scenarios, experiment)[0]
+            if run is not None
+        ]
 
     @staticmethod
     def _cell_event(index: int, total: int, scenario, source: str) -> Dict[str, Any]:

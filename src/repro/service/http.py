@@ -17,9 +17,10 @@ workflow needs:
                                     re-renders from the stored DB rows
                                     through the run cache, as ``--from``
                                     does
-``GET  /campaigns/<id>/agg``        grouped reduction over the job's
-                                    stored rows: ``?agg=mean&group_by=
-                                    protocol,load`` (+ ``metrics=``)
+``GET  /campaigns/<id>/agg``        grouped reduction over the stored
+                                    rows of the job's own cells:
+                                    ``?agg=mean&group_by=protocol,load``
+                                    (+ ``metrics=``)
 ``POST /work/lease`` etc.           distributed-executor work endpoints
                                     (``serve --distributed`` only; see
                                     :mod:`repro.exec.coordinator`)
@@ -314,14 +315,17 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(payload, status=status)
 
     def _get_agg(self, job, params: Dict[str, List[str]]) -> None:
-        """Grouped reduction over the rows this job put in the database.
+        """Grouped reduction over this job's own rows.
 
         ``GET /campaigns/<id>/agg?agg=mean&group_by=protocol,load`` —
         the server-side equivalent of ``repro-caem query --agg``,
-        reusing :func:`~repro.service.query.aggregate_runs`: experiment
-        jobs reduce the database's rows of that experiment (an indexed
-        key filter); grid jobs scope the database to the job's own
-        config digests first (recorded at submit time), then reduce.
+        reusing :func:`~repro.service.query.aggregate_runs`.  The rows
+        are those the job's run cache pairs with each grid it executed
+        (:meth:`~repro.service.cache.RunCache.stored_runs`), by the rule
+        ``?rerender=1`` replays with: a row another job stored counts
+        when it fills one of this job's cells, a row of another seed or
+        another experiment does not, and a job that is still running or
+        ended incomplete reduces what it has.
         """
         def one(name: str, default: Optional[str] = None) -> Optional[str]:
             values = params.get(name)
@@ -338,24 +342,9 @@ class _Handler(BaseHTTPRequestHandler):
             [m.strip() for m in metrics_raw.split(",") if m.strip()]
             if metrics_raw else None
         )
-        spec = job.spec
-        if "experiment" in spec:
-            groups = aggregate_runs(
-                self.server.db, group_by, agg=agg, metrics=metrics,
-                experiment=spec["experiment"],
-            )
-        else:
-            if job._digests is None:
-                raise ExperimentError(
-                    "this job has no recorded grid cells to aggregate"
-                )
-            rows = [
-                run for run, _ in
-                self.server.db.rows_for_digests(job._digests)
-            ]
-            groups = aggregate_runs(
-                _MemoryRows(rows), group_by, agg=agg, metrics=metrics,
-            )
+        cache = job._run_cache
+        rows = [] if cache is None else cache.stored_runs()
+        groups = aggregate_runs(_MemoryRows(rows), group_by, agg=agg, metrics=metrics)
         self._send_json(
             {
                 "job_id": job.job_id,

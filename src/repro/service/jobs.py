@@ -113,10 +113,10 @@ class JobRecord:
 
     def __post_init__(self) -> None:
         self._cond = threading.Condition()
-        #: Config digests of a grid job's cells (set at submit time) —
-        #: lets the aggregation endpoint scope the result database to
+        #: The job's run cache, set when the job starts: it records every
+        #: grid the job executes, so the aggregation endpoint reduces
         #: exactly this job's rows.  Not part of the JSON snapshot.
-        self._digests: Optional[set] = None
+        self._run_cache: Optional[RunCache] = None
 
     @property
     def finished(self) -> bool:
@@ -245,15 +245,11 @@ class JobManager:
         Validation happens *here* so a bad spec fails the submitting HTTP
         request with a clear message instead of a failed background job.
         """
-        plan = self._build_plan(spec)  # raises ExperimentError on a bad spec
+        self._build_plan(spec)  # raises ExperimentError on a bad spec
         self._executor_for(spec)  # likewise for the executor request
         with self._lock:
             job_id = f"job-{next(self._ids)}"
             record = JobRecord(job_id=job_id, spec=dict(spec), submitted_at=time.time())
-            if plan["kind"] == "grid":
-                record._digests = {
-                    sc.config.digest() for sc in plan["campaign"].scenarios()
-                }
             self._jobs[job_id] = record
             self._order.append(job_id)
         self._queue.put(job_id)
@@ -400,7 +396,7 @@ class JobManager:
     def _run_job(self, record: JobRecord) -> None:
         spec = record.spec
         plan = self._build_plan(spec)
-        cache = RunCache(self.db, on_event=record.emit)
+        cache = record._run_cache = RunCache(self.db, on_event=record.emit)
         # Instantiated here (not inside use_executor) so a distributed
         # job attaches to the server's shared lease board; closed in the
         # finally below.

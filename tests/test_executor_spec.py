@@ -15,7 +15,6 @@ from repro.errors import ExperimentError
 from repro.exec import (
     EXECUTOR_KINDS,
     CampaignExecutor,
-    PoolExecutor,
     SerialExecutor,
     SupervisedExecutor,
     get_executor,
@@ -159,13 +158,13 @@ class TestResolvePrecedence:
 
     def test_ambient_executor_used_without_argument(self):
         with use_executor("pool:3") as live:
-            assert isinstance(live, PoolExecutor)
+            assert isinstance(live, SupervisedExecutor)
             assert resolve_executor() is live
 
     def test_get_executor_instantiates_each_kind(self):
         assert isinstance(get_executor(ExecutorSpec()), SerialExecutor)
         pool = get_executor("pool:2")
-        assert isinstance(pool, PoolExecutor)
+        assert isinstance(pool, SupervisedExecutor)
         sup = get_executor({"kind": "supervised", "retries": 1})
         assert isinstance(sup, SupervisedExecutor)
         assert isinstance(sup, CampaignExecutor)

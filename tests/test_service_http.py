@@ -56,6 +56,28 @@ GRID_SPEC = {
     "seeds": [1],
 }
 
+#: The grid of fig8's smoke cells at seed 1, as an ad-hoc campaign.
+FIG8_GRID_SPEC = {
+    "preset": "smoke",
+    "axes": {"protocol": ["pure_leach", "scheme1", "scheme2"],
+             "load_pps": [5.0]},
+    "seeds": [1],
+}
+
+
+def _finished_job(server, spec):
+    """Submit ``spec``, wait for it to finish cleanly; its job id."""
+    _, submitted = _post_json(server, "/campaigns", spec)
+    job_id = submitted["job_id"]
+    assert server.manager.get(job_id).wait(timeout=300.0)
+    snap = _get_json(server, f"/campaigns/{job_id}")
+    assert snap["status"] == "done", snap["error"]
+    return job_id
+
+
+def _agg_by_protocol(server, job_id):
+    return _get_json(server, f"/campaigns/{job_id}/agg?group_by=protocol")
+
 
 class TestEndpoints:
     def test_health_and_experiments(self, server):
@@ -133,14 +155,7 @@ class TestEndpoints:
     def test_rerender_replays_rows_another_job_stored(self, server):
         """A figure job whose every cell the cache served from a grid
         job's (unstamped) rows re-renders from those same rows."""
-        grid = {
-            "preset": "smoke",
-            "axes": {"protocol": ["pure_leach", "scheme1", "scheme2"],
-                     "load_pps": [5.0]},
-            "seeds": [1],
-        }
-        _, first = _post_json(server, "/campaigns", grid)
-        assert server.manager.get(first["job_id"]).wait(timeout=300.0)
+        _finished_job(server, FIG8_GRID_SPEC)
         spec = {"experiment": "fig8", "preset": "smoke", "seeds": [1]}
         _, submitted = _post_json(server, "/campaigns", spec)
         job_id = submitted["job_id"]
@@ -153,6 +168,45 @@ class TestEndpoints:
             server, f"/campaigns/{job_id}/figure?rerender=1"
         )
         assert rerendered == rendered
+
+    def test_agg_reduces_rows_another_job_stored(self, server):
+        """/agg of a figure job whose cells the cache served from a grid
+        job's rows reduces those rows, as ?rerender=1 renders them."""
+        _finished_job(server, FIG8_GRID_SPEC)
+        job_id = _finished_job(
+            server, {"experiment": "fig8", "preset": "smoke", "seeds": [1]}
+        )
+        agg = _agg_by_protocol(server, job_id)
+        assert agg["count"] == 3
+        assert [g["n"] for g in agg["groups"]] == [1, 1, 1]
+
+    def test_agg_reduces_only_the_jobs_own_cells(self, server):
+        """A later job of the same experiment over other seeds adds rows
+        of that experiment; the first job's /agg reads none of them."""
+        first = _finished_job(
+            server, {"experiment": "fig8", "preset": "smoke", "seeds": [1]}
+        )
+        _finished_job(
+            server, {"experiment": "fig8", "preset": "smoke", "seeds": [2]}
+        )
+        agg = _agg_by_protocol(server, first)
+        assert agg["count"] == 3
+        assert [g["n"] for g in agg["groups"]] == [1, 1, 1]
+
+    def test_agg_of_experiments_sharing_digests(self, server):
+        """fig11 and ext-perf build the same 18 smoke cells, and each
+        stamps its own rows: the store holds 36 rows over 18 digests,
+        and each job reduces only its own 18."""
+        jobs = [
+            _finished_job(server, {"experiment": name, "preset": "smoke"})
+            for name in ("fig11", "ext-perf")
+        ]
+        rows = _get_json(server, "/runs?limit=100")["rows"]
+        assert len(rows) == 36
+        assert len({row["config_digest"] for row in rows}) == 18
+        for job_id in jobs:
+            groups = _agg_by_protocol(server, job_id)["groups"]
+            assert sum(g["n"] for g in groups) == 18
 
     def test_error_paths(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:

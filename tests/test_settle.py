@@ -1,10 +1,10 @@
-"""One failure state machine: both fault-tolerant executors on one loop.
+"""One failure state machine: every parallel executor on one loop.
 
-The supervised and distributed executors keep their cells on a
-``LeaseBoard`` and settle them through the same loop, so a failing
-store, a failing cell and the events reporting them must look the same
-under either.  The distributed case runs two in-thread workers against
-a self-hosted coordinator.
+The worker pool (``pool`` and ``supervised``) and the distributed
+executor keep their cells on a ``LeaseBoard`` and settle them through
+the same loop, so a failing store, a failing cell and the events
+reporting them must look the same under each.  The distributed case
+runs two in-thread workers against a self-hosted coordinator.
 """
 
 import contextlib
@@ -22,8 +22,10 @@ from repro.exec import ExecutionHooks, ExecutorSpec, LeaseBoard, get_executor
 from repro.exec.board import settle
 from repro.exec.worker import run_worker
 
-#: Per-kind spec fields: a short backoff keeps supervised retries quick.
+#: Per-kind spec fields: a short backoff keeps worker-pool retries
+#: quick, and ``pool`` needs two jobs (one runs serially).
 _FIELDS = {
+    "pool": dict(jobs=2, backoff_base_s=0.01, backoff_cap_s=0.02),
     "supervised": dict(backoff_base_s=0.01, backoff_cap_s=0.02),
     "distributed": dict(lease_timeout_s=10.0),
 }
@@ -93,7 +95,7 @@ class _BrokenStore:
         self.rows.append(run)
 
 
-@pytest.mark.parametrize("kind", ["supervised", "distributed"])
+@pytest.mark.parametrize("kind", ["pool", "supervised", "distributed"])
 class TestOneSettleLoop:
     def test_store_error_propagates(self, kind):
         store = _BrokenStore(fail_at=2)
